@@ -2,8 +2,13 @@
 //
 // StepProfile is the single structure under every scheduler; these benches
 // pin down the cost of its core operations as the segment count grows.
+// BM_BackfillQueuePass does the same for the pending-job structure of the
+// LSRC and EASY event loops as the machine width grows.
 #include "bench_util.hpp"
 
+#include <optional>
+
+#include "algorithms/backfill_queue.hpp"
 #include "core/arena.hpp"
 #include "core/profile_allocator.hpp"
 #include "core/step_profile.hpp"
@@ -39,16 +44,18 @@ void BM_ProfileAdd(benchmark::State& state) {
   Prng prng(1);
   std::uint64_t allocs = 0;
   std::uint64_t ops = 0;
+  std::optional<StepProfile> profile;
   for (auto _ : state) {
     state.PauseTiming();
-    StepProfile profile = busy_profile(state.range(0), 2);
+    // The previous iteration's profile is torn down here, untimed.
+    profile.emplace(busy_profile(state.range(0), 2));
     state.ResumeTiming();
     const Time start = prng.uniform_int(0, 100'000);
     const std::uint64_t allocs_begin = alloc_count();
-    profile.add(start, start + 200, -1);
+    profile->add(start, start + 200, -1);
     allocs += alloc_count() - allocs_begin;
     ++ops;
-    benchmark::DoNotOptimize(profile.segment_count());
+    benchmark::DoNotOptimize(profile->segment_count());
   }
   state.counters["allocs_per_op"] =
       ops > 0 ? static_cast<double>(allocs) / static_cast<double>(ops) : 0.0;
@@ -175,6 +182,38 @@ void BM_BackfillChurnLegacy(benchmark::State& state) {
       static_cast<double>(profile.index_build_count());
 }
 BENCHMARK(BM_BackfillChurnLegacy)->Range(64, 4096);
+
+void BM_BackfillQueuePass(benchmark::State& state) {
+  // 64 pending jobs with powers-of-two demands up to max_q = range(0), the
+  // service workload's width shape; one full pass per iteration, every
+  // candidate kept so the queue is the same each time. The pass visits
+  // only the demands actually inserted (at most log2(max_q) + 1), so its
+  // cost tracks those, not max_q.
+  const ProcCount max_q = state.range(0);
+  constexpr std::size_t kJobs = 64;
+  int bits = 0;
+  while ((ProcCount{1} << (bits + 1)) <= max_q) ++bits;
+  BackfillQueue queue(max_q, kJobs);
+  Prng prng(31);
+  for (std::size_t i = 0; i < kJobs; ++i)
+    queue.insert(static_cast<JobId>(i), static_cast<std::int64_t>(i),
+                 ProcCount{1} << prng.uniform_int(0, bits));
+  std::int64_t candidates = 0;
+  for (auto _ : state) {
+    queue.begin_pass();
+    while (const auto entry = queue.next(max_q)) {
+      benchmark::DoNotOptimize(entry->id);
+      queue.keep();
+      ++candidates;
+    }
+    queue.end_pass();
+  }
+  state.counters["candidates_per_pass"] =
+      state.iterations() > 0 ? static_cast<double>(candidates) /
+                                   static_cast<double>(state.iterations())
+                             : 0.0;
+}
+BENCHMARK(BM_BackfillQueuePass)->Arg(32)->Arg(256)->Arg(4096);
 
 void BM_ProfilePlus(benchmark::State& state) {
   const StepProfile a = busy_profile(state.range(0), 8);

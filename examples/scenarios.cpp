@@ -8,12 +8,13 @@
 //   # the six stock scenarios x the full registry
 //   ./build/examples/scenarios
 //
-//   # two cells, CSV export (the CI smoke invocation)
-//   ./build/examples/scenarios --m=16 --instances=2 \
+//   # two cells, CSV export (the CI smoke invocation), as one command:
+//   ./build/examples/scenarios --m=16 --instances=2
 //       --schedulers=fcfs,lsrc --scenarios=soak,ramp --csv=matrix.csv
 //
-//   # committed .scn programs and a real SWF trace as extra rows
-//   ./build/examples/scenarios --scn=tests/data/maintenance.scn \
+//   # committed .scn programs and a real SWF trace as extra rows, as one
+//   # command:
+//   ./build/examples/scenarios --scn=tests/data/maintenance.scn
 //       --trace=tests/data/tiny.swf
 #include <fstream>
 #include <iostream>

@@ -6,111 +6,108 @@
 
 namespace resched {
 
-BackfillQueue::BackfillQueue(ProcCount max_q, Arena* scratch)
+BackfillQueue::BackfillQueue(ProcCount max_q, std::size_t max_jobs,
+                             Arena* scratch)
     : buckets_(ArenaAlloc<Bucket>(scratch)),
       heap_(ArenaAlloc<Head>(scratch)),
-      pass_qs_(ArenaAlloc<ProcCount>(scratch)) {
+      max_q_(max_q) {
   RESCHED_REQUIRE_MSG(max_q >= 1, "backfill queue needs max_q >= 1");
-  buckets_.reserve(static_cast<std::size_t>(max_q) + 1);
-  for (std::size_t q = 0; q <= static_cast<std::size_t>(max_q); ++q)
-    buckets_.emplace_back(scratch);
+  max_buckets_ = std::min(static_cast<std::size_t>(max_q), max_jobs);
+  buckets_.reserve(max_buckets_);
+  heap_.reserve(max_buckets_);
 }
 
 void BackfillQueue::insert(JobId id, std::int64_t rank, ProcCount q) {
   RESCHED_REQUIRE_MSG(!pass_open_, "insert during an open pass");
-  RESCHED_REQUIRE(q >= 1 &&
-                  static_cast<std::size_t>(q) < buckets_.size());
-  Bucket& bucket = buckets_[static_cast<std::size_t>(q)];
+  RESCHED_REQUIRE(q >= 1 && q <= max_q_);
+  auto slot = std::lower_bound(
+      buckets_.begin(), buckets_.end(), q,
+      [](const Bucket& bucket, ProcCount value) { return bucket.q < value; });
+  if (slot == buckets_.end() || slot->q != q) {
+    // A new demand. Slots shift, which is safe: no pass is open, so no heap
+    // entry or candidate refers to one.
+    RESCHED_REQUIRE_MSG(buckets_.size() < max_buckets_,
+                        "more distinct demands than max_jobs inserts allow");
+    slot = buckets_.emplace(slot, q, buckets_.get_allocator().arena());
+  }
+  ScratchVec<Entry>& items = slot->items;
   // Ranks arrive mostly in increasing order (release-sorted feeds), so the
   // binary search almost always lands at the back.
   const auto at = std::lower_bound(
-      bucket.items.begin(), bucket.items.end(), rank,
+      items.begin(), items.end(), rank,
       [](const Entry& entry, std::int64_t value) { return entry.rank < value; });
-  bucket.items.insert(at, Entry{id, rank, q});
+  items.insert(at, Entry{id, rank, q});
   ++size_;
 }
 
 void BackfillQueue::begin_pass() {
   RESCHED_REQUIRE_MSG(!pass_open_, "pass already open");
   pass_open_ = true;
-  current_ = -1;
+  current_ = kNoCandidate;
   heap_.clear();
-  for (std::size_t q = 1; q < buckets_.size(); ++q) {
-    if (buckets_[q].items.empty()) continue;
-    heap_.push_back(Head{buckets_[q].items.front().rank,
-                         static_cast<ProcCount>(q)});
+  for (std::size_t slot = 0; slot < buckets_.size(); ++slot) {
+    if (buckets_[slot].items.empty()) continue;
+    heap_.push_back(Head{buckets_[slot].items.front().rank, slot});
   }
   std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
 }
 
-void BackfillQueue::touch(Bucket& bucket, ProcCount q) {
-  if (!bucket.in_pass) {
-    bucket.in_pass = true;
-    bucket.read = 0;
-    bucket.write = 0;
-    pass_qs_.push_back(q);
-  }
-}
-
 std::optional<BackfillQueue::Entry> BackfillQueue::next(
     std::int64_t capacity, bool ignore_capacity) {
-  RESCHED_ASSERT(pass_open_ && current_ < 0);
+  RESCHED_ASSERT(pass_open_ && current_ == kNoCandidate);
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
     const Head head = heap_.back();
     heap_.pop_back();
-    Bucket& bucket = buckets_[static_cast<std::size_t>(head.q)];
-    touch(bucket, head.q);
-    if (!ignore_capacity && head.q > capacity) {
+    const Bucket& bucket = buckets_[head.slot];
+    if (!ignore_capacity && bucket.q > capacity) {
       // Retire the bucket for this pass: capacity at the event time cannot
       // come back up, so none of its jobs can start (see header sketch).
       continue;
     }
-    current_ = head.q;
+    current_ = head.slot;
     return bucket.items[bucket.read];
   }
   return std::nullopt;
 }
 
-void BackfillQueue::keep() {
-  RESCHED_ASSERT(pass_open_ && current_ >= 0);
-  Bucket& bucket = buckets_[static_cast<std::size_t>(current_)];
-  bucket.items[bucket.write++] = bucket.items[bucket.read++];
+void BackfillQueue::advance(Bucket& bucket) {
   if (bucket.read < bucket.items.size()) {
     heap_.push_back(Head{bucket.items[bucket.read].rank, current_});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   }
-  current_ = -1;
+  current_ = kNoCandidate;
+}
+
+void BackfillQueue::keep() {
+  RESCHED_ASSERT(pass_open_ && current_ != kNoCandidate);
+  Bucket& bucket = buckets_[current_];
+  bucket.items[bucket.write++] = bucket.items[bucket.read++];
+  advance(bucket);
 }
 
 void BackfillQueue::take() {
-  RESCHED_ASSERT(pass_open_ && current_ >= 0);
-  Bucket& bucket = buckets_[static_cast<std::size_t>(current_)];
+  RESCHED_ASSERT(pass_open_ && current_ != kNoCandidate);
+  Bucket& bucket = buckets_[current_];
   ++bucket.read;
   --size_;
-  if (bucket.read < bucket.items.size()) {
-    heap_.push_back(Head{bucket.items[bucket.read].rank, current_});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  }
-  current_ = -1;
+  advance(bucket);
 }
 
 void BackfillQueue::end_pass() {
-  RESCHED_REQUIRE_MSG(pass_open_ && current_ < 0,
+  RESCHED_REQUIRE_MSG(pass_open_ && current_ == kNoCandidate,
                       "end_pass with an unanswered candidate");
-  for (const ProcCount q : pass_qs_) {
-    Bucket& bucket = buckets_[static_cast<std::size_t>(q)];
-    // Survivors [write, read) were already compacted; shift the unexamined
-    // tail [read, end) down next to them.
+  for (Bucket& bucket : buckets_) {
+    // Survivors [0, write) were already compacted; shift the unexamined
+    // tail [read, end) down next to them. Buckets the pass never reached
+    // have read == write == 0.
     if (bucket.write != bucket.read)
       bucket.items.erase(
           bucket.items.begin() + static_cast<std::ptrdiff_t>(bucket.write),
           bucket.items.begin() + static_cast<std::ptrdiff_t>(bucket.read));
     bucket.read = 0;
     bucket.write = 0;
-    bucket.in_pass = false;
   }
-  pass_qs_.clear();
   heap_.clear();
   pass_open_ = false;
 }

@@ -13,7 +13,11 @@
 // test_prop_scheduler_equiv pin this):
 //
 //   * pending jobs live in buckets keyed by their processor demand q, each
-//     bucket sorted by the scheduler's rank;
+//     bucket sorted by the scheduler's rank. Buckets exist only for demands
+//     that were actually inserted: the bucket store is a vector sorted by q
+//     (a new demand costs one binary search and a shift of the buckets
+//     above it), sized once at construction for min(max_q, max_jobs)
+//     distinct demands, and heap entries carry the bucket's slot;
 //   * a capacity event opens a *pass*: the buckets whose threshold the
 //     current free capacity reaches (q <= capacity at t) are merged
 //     rank-order through a small binary heap, so candidates come out in
@@ -25,6 +29,13 @@
 //     t never rises within a pass -- commits subtract, and the only
 //     transient restore (EASY's tentative backfill) is unwound before the
 //     next candidate is popped -- so retirement is permanent for the pass.
+//
+// Cost: with B distinct demands inserted so far (B <= min(max_q, n); a
+// bucket emptied by take() stays, keeping its capacity, and is skipped in
+// O(1)), a pass costs O(B + candidates popped x log B) and construction
+// O(1) -- independent of the machine width max_q. The service's
+// powers-of-two widths give B <= 9 at m = 256, where a bucket per value
+// q = 0..m would touch all 257 buckets on every pass.
 //
 // Equivalence sketch: a pass examines precisely the pending jobs the
 // rescan would have examined minus jobs that provably fail their capacity
@@ -38,6 +49,7 @@
 // deduplicates on insert and consumes a whole stale prefix per advance.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <optional>
@@ -58,10 +70,13 @@ class BackfillQueue {
   };
 
   // max_q: largest processor demand that will ever be inserted (the
-  // instance's machine count). With a scratch arena, every internal buffer
-  // (buckets, merge heap, pass list) is bump-allocated from it -- the
+  // instance's machine count); max_jobs: how many jobs will ever be
+  // inserted. Together they bound the distinct demands, which sizes the
+  // bucket store and merge heap once, here. With a scratch arena, every
+  // internal buffer (buckets, merge heap) is bump-allocated from it -- the
   // replan hot path; null = plain counted heap (batch schedule()).
-  explicit BackfillQueue(ProcCount max_q, Arena* scratch = nullptr);
+  BackfillQueue(ProcCount max_q, std::size_t max_jobs,
+                Arena* scratch = nullptr);
 
   // Inserts a pending job. Must not be called while a pass is open.
   void insert(JobId id, std::int64_t rank, ProcCount q);
@@ -87,30 +102,36 @@ class BackfillQueue {
 
  private:
   struct Bucket {
-    explicit Bucket(Arena* scratch) : items(ArenaAlloc<Entry>(scratch)) {}
+    Bucket(ProcCount demand, Arena* scratch)
+        : q(demand), items(ArenaAlloc<Entry>(scratch)) {}
+    ProcCount q;
     ScratchVec<Entry> items;   // sorted by rank
     std::size_t read = 0;      // pass cursors: next candidate / survivor slot
-    std::size_t write = 0;
-    bool in_pass = false;
+    std::size_t write = 0;     // (both 0 outside a pass)
   };
 
   // Heap item: the head rank of a live bucket. Min-heap by rank (ranks are
-  // unique, so the bucket index never tiebreaks).
+  // unique, so the slot never tiebreaks). A bucket has at most one head in
+  // the heap, so the heap never outgrows the bucket store.
   struct Head {
     std::int64_t rank;
-    ProcCount q;
+    std::size_t slot;
     friend bool operator>(const Head& a, const Head& b) {
       return a.rank > b.rank;
     }
   };
 
-  void touch(Bucket& bucket, ProcCount q);
+  static constexpr std::size_t kNoCandidate = static_cast<std::size_t>(-1);
 
-  ScratchVec<Bucket> buckets_;          // indexed by q, 0..max_q
+  // Moves the answered candidate's bucket on to its next job, if any.
+  void advance(Bucket& bucket);
+
+  ScratchVec<Bucket> buckets_;          // one per inserted demand, by q
   ScratchVec<Head> heap_;               // std::push_heap/pop_heap, min by rank
-  ScratchVec<ProcCount> pass_qs_;       // buckets touched by the open pass
+  ProcCount max_q_;
+  std::size_t max_buckets_ = 0;         // min(max_q, max_jobs)
   std::size_t size_ = 0;
-  ProcCount current_ = -1;              // bucket of the last popped candidate
+  std::size_t current_ = kNoCandidate;  // slot of the last popped candidate
   bool pass_open_ = false;
 };
 

@@ -44,7 +44,7 @@ Schedule easy_run(FreeProfile& free, ProcCount m, const std::vector<Job>& jobs,
   // Waiting jobs, event-indexed by processor demand; rank = arrival-order
   // position, so passes examine candidates in exactly the FCFS order the
   // seed's deque walk used.
-  BackfillQueue waiting(m, scratch);
+  BackfillQueue waiting(m, jobs.size(), scratch);
   std::size_t next_arrival = 0;
   std::size_t started = 0;
   while (started < jobs.size()) {

@@ -77,7 +77,7 @@ Schedule LsrcScheduler::run(const Instance& instance,
     return ra != rb ? ra < rb : a < b;
   });
 
-  BackfillQueue pending(instance.m());
+  BackfillQueue pending(instance.m(), instance.n());
   std::size_t next_release = 0;
   std::size_t remaining = instance.n();
   while (remaining > 0) {

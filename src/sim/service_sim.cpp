@@ -89,20 +89,22 @@ class ServiceLoop {
     result_.end_queue_depth = waiting_.size();
     result_.sim_end = sim_.now();
     result_.measured = measured_done_;
-    if (measured_done_ > 0) {
-      // resched-lint: time-arith-audited(phases keep measure_end_ >= measure_begin_)
-      const Time span = std::max<Time>(1, measure_end_ - measure_begin_);
-      result_.sustained_rate =
-          static_cast<double>(measured_done_) * 1000.0 /
-          static_cast<double>(span);
-    }
+    // resched-lint: time-arith-audited(both are sim times in [-1, now]; max clamps an empty window)
+    const Time span = std::max<Time>(1, measure_end_ - measure_begin_);
+    const auto per_kilotick = [span](std::uint64_t jobs) {
+      return static_cast<double>(jobs) * 1000.0 / static_cast<double>(span);
+    };
+    if (measured_done_ > 0)
+      result_.sustained_rate = per_kilotick(measured_done_);
     if (config_.phases.measure > 0 && !result_.saturated) {
       // Queue growth diverged if measurement could not finish (bail aborted
-      // the step; churn-canceled measure jobs are accounted, not blamed) or
-      // completions fell behind the offered rate.
+      // the step) or the accounted rate fell behind the offered rate.
+      // Churn-canceled measure jobs are accounted, not blamed, in both
+      // tests; sustained_rate itself stays completions only.
+      const std::uint64_t accounted = measured_done_ + measure_canceled_;
       result_.saturated =
-          measured_done_ + measure_canceled_ < config_.phases.measure ||
-          result_.sustained_rate <
+          accounted < config_.phases.measure ||
+          per_kilotick(accounted) <
               config_.saturation_fraction * result_.offered_rate;
     }
     return std::move(result_);

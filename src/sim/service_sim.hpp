@@ -60,8 +60,9 @@
 // A sweep raises the offered rate from step_size to step_stop in step_size
 // increments (exact integer step indices -- no accumulated floating-point
 // drift) and reports the saturation knee: the first step whose queue growth
-// diverges -- the backlog trips bail_queue_depth, or the sustained
-// completion rate falls below saturation_fraction of the offered rate.
+// diverges -- the backlog trips bail_queue_depth, or the measure-phase
+// completion rate, with churn-canceled measure jobs counted as accounted,
+// falls below saturation_fraction of the offered rate.
 //
 // Determinism: with record_wall_latency off, a step's entire result is a
 // pure function of (scheduler, load config, seed, rate, churn config) --
@@ -120,8 +121,9 @@ struct ServiceConfig {
   // simulation start until measurement finishes, recording only samples
   // that fall inside the open measure window.
   Time queue_sample_interval = 500;
-  // Saturation test: sustained completion rate below this fraction of the
-  // offered rate marks the step saturated.
+  // Saturation test: the accounted measure-phase rate (completions plus
+  // churn cancellations) below this fraction of the offered rate marks the
+  // step saturated.
   double saturation_fraction = 0.95;
   // Wall-clock timing of each scheduler decision (steady_clock). Off =>
   // decision_ns stays empty and the whole result is deterministic.

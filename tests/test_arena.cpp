@@ -42,12 +42,12 @@ TEST(Arena, AllocationsAreAlignedAndDisjoint) {
 TEST(Arena, ResetKeepsChunksSoSteadyStateIsAllocationFree) {
   Arena arena;
   // Warm: force at least one chunk into existence.
-  for (int i = 0; i < 100; ++i) arena.allocate(64, 8);
+  for (int i = 0; i < 100; ++i) EXPECT_NE(arena.allocate(64, 8), nullptr);
   const std::size_t chunks = arena.chunk_count();
   const std::uint64_t warm = alloc_count();
   for (int cycle = 0; cycle < 50; ++cycle) {
     arena.reset();
-    for (int i = 0; i < 100; ++i) arena.allocate(64, 8);
+    for (int i = 0; i < 100; ++i) EXPECT_NE(arena.allocate(64, 8), nullptr);
   }
   EXPECT_EQ(alloc_count(), warm) << "reset+refill must reuse warm chunks";
   EXPECT_EQ(arena.chunk_count(), chunks);
@@ -55,10 +55,10 @@ TEST(Arena, ResetKeepsChunksSoSteadyStateIsAllocationFree) {
 
 TEST(Arena, MarkerRewindReleasesLifoScopes) {
   Arena arena;
-  arena.allocate(128, 8);
+  EXPECT_NE(arena.allocate(128, 8), nullptr);
   const Arena::Marker frame = arena.mark();
   void* inner_first = arena.allocate(64, 8);
-  arena.allocate(256, 8);
+  EXPECT_NE(arena.allocate(256, 8), nullptr);
   arena.rewind(frame);
   // The next allocation after rewind lands where the frame started.
   void* replay = arena.allocate(64, 8);

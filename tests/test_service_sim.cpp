@@ -96,6 +96,35 @@ TEST(ServiceSim, OverloadSaturatesAndBails) {
   EXPECT_LT(step.completed, step.arrivals);
 }
 
+TEST(ServiceSim, ChurnCancellationsAreNotBlamedAsSaturation) {
+  // Cancellation churn at a sub-saturation rate: every measure-phase job is
+  // served or canceled and the queue drains. Completions alone run below
+  // the saturation fraction of the offered rate, but with the canceled
+  // measure jobs added back the step keeps up, so it is not saturated.
+  ServiceConfig config = small_config();
+  config.phases = ServicePhases{20, 200, 20};
+  config.churn.events_per_kilotick = 20.0;
+  config.churn.availability_drop_weight = 0.0;
+  config.churn.reservation_move_weight = 0.0;
+  const auto scheduler = make_scheduler("conservative");
+  const ServiceStepResult step =
+      run_service_step(*scheduler, small_load(), 2, 30.0, config);
+  ASSERT_LT(step.measured, config.phases.measure);  // some were canceled
+  ASSERT_EQ(step.end_queue_depth, 0u);
+  ASSERT_EQ(step.completed + step.canceled, step.arrivals);
+  // sustained_rate stays completions only, and is below the fraction.
+  ASSERT_LT(step.sustained_rate,
+            config.saturation_fraction * step.offered_rate);
+  EXPECT_FALSE(step.saturated);
+
+  // Cancellations are added back, not waived: at seed 1 the accounted rate
+  // still falls short of the fraction, and the step stays saturated.
+  const ServiceStepResult slow =
+      run_service_step(*scheduler, small_load(), 1, 30.0, config);
+  ASSERT_GT(slow.canceled, 0u);
+  EXPECT_TRUE(slow.saturated);
+}
+
 TEST(ServiceSim, SweepFindsAKnee) {
   const auto scheduler = make_scheduler("easy");
   ServiceConfig config = small_config();

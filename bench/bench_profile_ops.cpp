@@ -131,11 +131,11 @@ void BM_EarliestFit(benchmark::State& state) {
 BENCHMARK(BM_EarliestFit)->Range(64, 16384);
 
 void BM_BackfillChurn(benchmark::State& state) {
-  // EASY-phase-2-shaped tentative probe loop: commit a candidate, run a
-  // wide windowed probe (the head's reservation check), revert. The undo
-  // log reverts in O(touched) and keeps the index snapshot warm -- the
-  // index_rebuilds counter stays at the single warm-up build no matter how
-  // many probes run. Structure mirrors BM_BackfillChurnLegacy exactly
+  // Tentative probe loop in branch-and-bound's shape: commit a placement,
+  // run a wide windowed query, revert (backtrack). The undo log reverts in
+  // O(touched) and keeps the index snapshot warm -- the index_rebuilds
+  // counter stays at the single warm-up build no matter how many probes
+  // run. Structure mirrors BM_BackfillChurnLegacy exactly
   // (same prng, same skip decisions), so the delta is the pair mechanism.
   FreeProfile free(busy_profile(state.range(0), 6));
   benchmark::DoNotOptimize(free.profile().min_in(0, 100'000));  // warm index

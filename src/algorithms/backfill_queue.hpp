@@ -26,9 +26,9 @@
 //     rest of the pass: the rescan would have probed each of its jobs only
 //     to fail fits_at immediately (capacity at t is the minimum over the
 //     job's window, so value-at-t below q already decides it). Capacity at
-//     t never rises within a pass -- commits subtract, and the only
-//     transient restore (EASY's tentative backfill) is unwound before the
-//     next candidate is popped -- so retirement is permanent for the pass.
+//     t never rises within a pass -- commits only subtract, and EASY's
+//     backfill admission is a read-only query that never touches the
+//     profile -- so retirement is permanent for the pass.
 //
 // Cost: with B distinct demands inserted so far (B <= min(max_q, n); a
 // bucket emptied by take() stays, keeping its capacity, and is skipped in

@@ -89,14 +89,17 @@ Schedule easy_run(FreeProfile& free, ProcCount m, const std::vector<Job>& jobs,
       const Job& head = jobs[static_cast<std::size_t>(head_id)];
       const Time head_start = free.earliest_fit(t, head.q, head.p);
       const Time head_end = checked_add(head_start, head.p);
-      // Probe-window invariant: the head fits at head_start right now
-      // (earliest_fit established it, and every accepted candidate below
-      // re-establishes it). A candidate's commit only removes capacity on
-      // its own window [t, t+p), so "head not pushed back" only needs the
-      // windowed min over the *overlap* of that window with the head's
-      // reservation window -- and a candidate ending at or before
-      // head_start cannot push the head at all, so it commits outright
-      // with no tentative machinery.
+      // Query-only admission: the head fits at head_start right now
+      // (earliest_fit established it, and every admitted candidate below
+      // re-establishes it). A candidate's commit subtracts q_j on its own
+      // window [t, t+p_j) only, and the part of the head's window
+      // [head_start, head_end) it can touch, [head_start, min(head_end,
+      // t+p_j)), lies inside that window because head_start >= t. So after
+      // the commit the head's free capacity there would be exactly today's
+      // minus q_j: "head not pushed back" is the read-only question "does
+      // today's capacity stay >= q_h + q_j over the overlap?". A candidate
+      // ending at or before head_start has no overlap and is admitted
+      // outright. Rejected candidates never touch the profile.
       while (const auto candidate = waiting.next(capacity)) {
         const Job& job = jobs[static_cast<std::size_t>(candidate->id)];
         if (!free.fits_at(t, job.q, job.p)) {
@@ -104,25 +107,14 @@ Schedule easy_run(FreeProfile& free, ProcCount m, const std::vector<Job>& jobs,
           continue;
         }
         const Time job_end = checked_add(t, job.p);
-        if (job_end > head_start) {
-          // Tentatively start; keep only if the head is not pushed back
-          // (the overlap min above). The token rollback restores the
-          // touched segments in O(touched) and keeps the profile's query
-          // index warm (no budget drain, no O(s) rebuild), so a long run
-          // of rejected candidates stays cheap.
-          FreeProfile::CommitToken token =
-              free.commit_tentative(t, job.q, job.p);
-          if (free.profile().first_below(head_start,
-                                         std::min(head_end, job_end),
-                                         head.q) != kTimeInfinity) {
-            free.rollback(std::move(token));
-            waiting.keep();
-            continue;
-          }
-          free.accept(std::move(token));
-        } else {
-          free.commit_fitted(t, job.q, job.p);
+        if (job_end > head_start &&
+            free.profile().first_below(head_start, std::min(head_end, job_end),
+                                       checked_add(head.q, job.q)) !=
+                kTimeInfinity) {
+          waiting.keep();
+          continue;
         }
+        free.commit_fitted(t, job.q, job.p);
         schedule.set_start(job.id, t);
         events.push(job_end);
         // resched-lint: time-arith-audited(admitted q keeps capacity in [0, m])

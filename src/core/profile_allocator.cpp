@@ -204,24 +204,6 @@ std::size_t FreeProfile::compact_history(Time t) {
   return removed;
 }
 
-void FreeProfile::uncommit(Time t, ProcCount q, Time p) {
-  RESCHED_REQUIRE(t >= 0 && q >= 1 && p > 0);
-  // Checked wrapper over the undo log: an uncommit that does not reverse
-  // the newest open tentative commit would add capacity that was never
-  // allocated -- silently lifting the profile above the instance's
-  // availability. Fail loudly instead.
-  RESCHED_CHECK_MSG(!open_.empty(),
-                    "uncommit with no open tentative commit to reverse");
-  const OpenCommit& top = open_.back();
-  RESCHED_CHECK_MSG(!top.accepted,
-                    "uncommit would reverse an accepted plan decision; only "
-                    "rewind_to may unwind those");
-  RESCHED_CHECK_MSG(
-      top.t == t && top.q == q && top.p == p,
-      "uncommit(t, q, p) does not match the newest open tentative commit");
-  resolve_top(/*keep=*/false);
-}
-
 Time FreeProfile::next_change_after(Time t) const {
   return profile_.next_change_after(t);
 }

@@ -21,25 +21,29 @@
 //
 // ## Tentative commits (transactional allocation)
 //
-// Backfilling's inner loop is speculative: commit a candidate, test whether
-// a protected job is pushed back, revert if so; branch-and-bound backtracks
-// the same way. commit_tentative() makes that pattern first-class: it
-// subtracts the job and returns an opaque CommitToken whose undo record
-// (StepProfile's undo log) reverts the allocation in O(touched segments) --
-// no re-run of add's split/coalesce path, no index-snapshot drop, no budget
-// drain, so arbitrarily long probe loops never trigger an O(s) index
-// rebuild. A token must be resolved exactly once, newest-first:
+// Branch-and-bound's depth-first search is speculative: place a job,
+// recurse, revert the placement on backtrack. commit_tentative() makes that
+// pattern first-class: it subtracts the job and returns an opaque
+// CommitToken whose undo record (StepProfile's undo log) reverts the
+// allocation in O(touched segments) -- no re-run of add's split/coalesce
+// path, no index-snapshot drop, no budget drain, so arbitrarily long
+// search trees never trigger an O(s) index rebuild. A token must be
+// resolved exactly once, newest-first:
 //
 //   rollback(token)  -- revert the allocation,
 //   accept(token)    -- keep it, discarding the undo state in O(1).
 //
-// Tokens are strictly nested (LIFO), which is exactly the shape tentative
-// probes and depth-first backtracking produce; resolving any other token
-// trips RESCHED_CHECK. The legacy uncommit(t, q, p) remains as a checked
-// wrapper: it must name exactly the newest open tentative commit, which it
-// then rolls back. An uncommit that does not reverse a live commit used to
-// silently inflate free capacity above the instance's availability --
-// the classic backfilling state-corruption bug -- and now fails loudly.
+// Tokens are strictly nested (LIFO), which is exactly the shape
+// depth-first backtracking produces; resolving any other token -- an
+// out-of-order one, or a dead one (already resolved, moved from or never
+// issued) -- trips RESCHED_CHECK. There is no by-value inverse of a
+// commit: one that does not reverse a live commit would silently inflate
+// free capacity above the instance's availability -- the classic
+// backfilling state-corruption bug.
+//
+// Backfilling needs no speculation at all. EASY's "is the protected head
+// pushed back?" test is a read-only windowed query on the uncommitted
+// profile (see easy_bf.cpp), so a rejected candidate never mutates it.
 //
 // Complexity: fits_at and each earliest_fit probe are O(log s) on fragmented
 // profiles through StepProfile's lazily built min/max segment-tree index;
@@ -223,13 +227,6 @@ class FreeProfile {
   // stack. Returns the number of segments removed.
   std::size_t compact_history(Time t);
 
-  // Legacy inverse of commit_tentative, kept for callers that identify the
-  // allocation by value instead of by token: RESCHED_CHECKs that
-  // (t, q, p) is exactly the newest open tentative commit and rolls it
-  // back. With no open commit -- or mismatched arguments -- this trips
-  // instead of silently raising capacity above the availability.
-  void uncommit(Time t, ProcCount q, Time p);
-
   // Number of open (unresolved) tentative commits.
   [[nodiscard]] std::size_t open_commits() const noexcept {
     return open_.size();
@@ -258,9 +255,9 @@ class FreeProfile {
   }
 
  private:
-  // One open tentative commit: identity for the checked wrappers plus the
-  // undo record that reverts it. `accepted` marks a frame accept() retained
-  // in plan-recording mode: sealed as a decision, still rewindable.
+  // One open frame: identity for the LIFO checks and plan_since, plus the
+  // undo record that reverts it. `accepted` marks a frame retained in
+  // plan-recording mode: sealed as a decision, still rewindable.
   struct OpenCommit {
     std::uint64_t serial = 0;
     Time t = 0;

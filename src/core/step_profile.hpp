@@ -92,16 +92,17 @@
 // inverse-patches the index snapshot without consuming budget, refunding the
 // unit the recorded add spent. A tentative probe sequence (add_recorded ->
 // queries -> rollback) is therefore structurally net-zero: no budget drain,
-// no index drop, no O(s) rebuild -- the backfilling schedulers' tentative
-// commit/uncommit loops run entirely on warm snapshots. Undo records unwind
-// newest-first (strict nesting, the shape backtracking search and tentative
-// probes produce). Records whose *checked state* -- the closed region
-// [window_lo, to] plus the value of the step immediately left of it -- was
-// not touched by any still-live later mutation may also unwind out of
-// order; anything else trips the rollback check. Note the checked state is
-// slightly wider than the mutation window [from, to): a later add that
-// merely coalesces across this record's region boundary, or shifts the
-// region's trailing piece at `to`, blocks this record until it unwinds.
+// no index drop, no O(s) rebuild -- branch-and-bound's place/backtrack
+// loops and the service's plan/rewind cycles run entirely on warm
+// snapshots. Undo records unwind newest-first (strict nesting, the shape
+// backtracking search and plan rewinds produce). Records whose *checked
+// state* -- the closed region [window_lo, to] plus the value of the step
+// immediately left of it -- was not touched by any still-live later
+// mutation may also unwind out of order; anything else trips the rollback
+// check. Note the checked state is slightly wider than the mutation window
+// [from, to): a later add that merely coalesces across this record's region
+// boundary, or shifts the region's trailing piece at `to`, blocks this
+// record until it unwinds.
 #pragma once
 
 #include <atomic>

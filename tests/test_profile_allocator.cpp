@@ -71,7 +71,7 @@ TEST(FreeProfile, EarliestFitImpossibleWidthThrows) {
   EXPECT_THROW((void)free.earliest_fit(0, 3, 1), std::invalid_argument);
 }
 
-TEST(FreeProfile, TentativeCommitSubtractsAndUncommitRestores) {
+TEST(FreeProfile, TentativeCommitSubtractsAndRollbackRestores) {
   FreeProfile free{StepProfile(4)};
   FreeProfile::CommitToken token = free.commit_tentative(2, 3, 5);
   EXPECT_TRUE(token.live());
@@ -80,8 +80,9 @@ TEST(FreeProfile, TentativeCommitSubtractsAndUncommitRestores) {
   EXPECT_EQ(free.capacity_at(6), 1);
   EXPECT_EQ(free.capacity_at(7), 4);
   EXPECT_FALSE(free.fits_at(0, 2, 5));
-  // The legacy wrapper reverses the newest open tentative commit.
-  free.uncommit(2, 3, 5);
+  // The token reverses exactly the commit it names.
+  free.rollback(std::move(token));
+  EXPECT_FALSE(token.live());  // NOLINT(bugprone-use-after-move): asserted dead
   EXPECT_EQ(free.capacity_at(2), 4);
   EXPECT_EQ(free.open_commits(), 0u);
 }
@@ -103,26 +104,30 @@ TEST(FreeProfile, RollbackAndAcceptResolveTokens) {
   EXPECT_EQ(free.capacity_at(10), 4);
 }
 
-TEST(FreeProfile, MismatchedUncommitTripsInsteadOfInflatingCapacity) {
-  // Regression: uncommit with arguments that never were (or no longer are)
-  // a live commit used to blindly add capacity back, silently raising the
-  // profile above the instance's availability. It now must reverse the
-  // newest open tentative commit exactly, or trip RESCHED_CHECK.
+TEST(FreeProfile, DeadTokenTripsInsteadOfInflatingCapacity) {
+  // Regression: reverting an allocation that never was (or no longer is) a
+  // live commit used to blindly add capacity back, silently raising the
+  // profile above the instance's availability. A token that does not name
+  // the newest open tentative commit must trip RESCHED_CHECK instead.
   FreeProfile free{StepProfile(4)};
-  // No open commit at all.
-  EXPECT_THROW(free.uncommit(2, 3, 5), std::logic_error);
-  EXPECT_EQ(free.capacity_at(2), 4) << "failed uncommit must not mutate";
+  // A never-issued token, with no open commit at all.
+  EXPECT_THROW(free.rollback(FreeProfile::CommitToken{}), std::logic_error);
+  EXPECT_EQ(free.capacity_at(2), 4) << "failed rollback must not mutate";
 
   FreeProfile::CommitToken token = free.commit_tentative(2, 3, 5);
-  // Wrong start / demand / duration each trip; profile stays committed.
-  EXPECT_THROW(free.uncommit(3, 3, 5), std::logic_error);
-  EXPECT_THROW(free.uncommit(2, 2, 5), std::logic_error);
-  EXPECT_THROW(free.uncommit(2, 3, 6), std::logic_error);
+  // A never-issued or moved-from token trips even with a commit open; the
+  // profile stays committed and the live token keeps its frame.
+  EXPECT_THROW(free.rollback(FreeProfile::CommitToken{}), std::logic_error);
+  EXPECT_THROW(free.accept(FreeProfile::CommitToken{}), std::logic_error);
+  FreeProfile::CommitToken moved = std::move(token);
+  EXPECT_THROW(free.rollback(std::move(token)), std::logic_error);
   EXPECT_EQ(free.capacity_at(2), 1);
-  // A permanent commit is not revocable either.
-  free.accept(std::move(token));
-  EXPECT_THROW(free.uncommit(2, 3, 5), std::logic_error);
+  EXPECT_EQ(free.open_commits(), 1u);
+  // A permanent commit is not revocable either: accept() spends the token.
+  free.accept(std::move(moved));
+  EXPECT_THROW(free.rollback(std::move(moved)), std::logic_error);
   EXPECT_EQ(free.capacity_at(2), 1);
+  EXPECT_EQ(free.open_commits(), 0u);
 }
 
 TEST(FreeProfile, TokensResolveNewestFirst) {
@@ -169,7 +174,7 @@ TEST(FreeProfile, TentativeProbeLoopNeverRebuildsTheIndex) {
     const Time p = prng.uniform_int(1, 200);
     if (!free.fits_at(t, q, p)) continue;
     FreeProfile::CommitToken token = free.commit_tentative(t, q, p);
-    // Wide probe through the indexed descent (the head-reservation check).
+    // Wide probe through the indexed descent.
     (void)free.fits_at(0, 1, 7000);
     free.rollback(std::move(token));
   }
@@ -283,15 +288,23 @@ TEST(FreeProfileVersioned, PlanSinceListsTheRecordedDecisions) {
   EXPECT_TRUE(free.plan_since(before).empty());
 }
 
-TEST(FreeProfileVersioned, AcceptedFramesRefuseLegacyUncommit) {
-  // uncommit() reverses tentative probes; a retained *accepted* frame is a
-  // sealed plan decision that only rewind_to may unwind.
+TEST(FreeProfileVersioned, AcceptedFramesRefuseTokenRollback) {
+  // A retained *accepted* frame is a sealed plan decision that only
+  // rewind_to may unwind: its spent token cannot roll it back, and it
+  // shields every older token beneath it.
   FreeProfile free{StepProfile(4)};
   free.set_retain_accepted(true);
+  const FreeProfile::Checkpoint before = free.checkpoint();
+  FreeProfile::CommitToken older = free.commit_tentative(5, 1, 5);
   FreeProfile::CommitToken token = free.commit_tentative(0, 2, 5);
   free.accept(std::move(token));
-  EXPECT_THROW(free.uncommit(0, 2, 5), std::logic_error);
-  EXPECT_EQ(free.capacity_at(0), 2) << "failed uncommit must not mutate";
+  EXPECT_THROW(free.rollback(std::move(token)), std::logic_error);
+  EXPECT_EQ(free.capacity_at(0), 2) << "failed rollback must not mutate";
+  EXPECT_THROW(free.rollback(std::move(older)), std::logic_error);
+  EXPECT_EQ(free.capacity_at(5), 3) << "failed rollback must not mutate";
+  EXPECT_EQ(free.open_commits(), 2u);
+  free.rewind_to(before);
+  EXPECT_EQ(free.profile(), StepProfile(4));
 }
 
 TEST(FreeProfileVersioned, ToggleRetainRequiresEmptyStack) {

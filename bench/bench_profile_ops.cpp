@@ -62,6 +62,38 @@ void BM_ProfileAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileAdd)->Range(64, 4096);
 
+// One add of a short window at a fixed fraction of the profile's span:
+// near the front (where event-loop schedulers commit at their clock), in
+// the middle, near the back. The profile is built once, outside the timed
+// loop; iterations alternate +1 and -1 so every iteration is exactly one
+// add (two splits or two coalesces) and the profile returns to its
+// initial state every second iteration. moved_slots_per_op is the segment
+// store's noise-free work counter: the two-ended store shifts the shorter
+// side of each edit point, so front and back adds move a few slots and a
+// middle add about half the profile.
+void BM_ProfileAddAt(benchmark::State& state, double fraction) {
+  StepProfile profile = busy_profile(state.range(0), 2);
+  const Time at = static_cast<Time>(fraction * 100'000);
+  const std::size_t segments = profile.segment_count();
+  const std::uint64_t moved_begin = profile.moved_slots();
+  std::int64_t delta = 1;
+  std::uint64_t ops = 0;
+  for (auto _ : state) {
+    profile.add(at, at + 50, delta);
+    delta = -delta;
+    ++ops;
+    benchmark::DoNotOptimize(profile.segment_count());
+  }
+  state.counters["segments"] = static_cast<double>(segments);
+  state.counters["moved_slots_per_op"] =
+      ops > 0 ? static_cast<double>(profile.moved_slots() - moved_begin) /
+                    static_cast<double>(ops)
+              : 0.0;
+}
+BENCHMARK_CAPTURE(BM_ProfileAddAt, front, 0.02)->Arg(512)->Arg(4096);
+BENCHMARK_CAPTURE(BM_ProfileAddAt, mid, 0.50)->Arg(512)->Arg(4096);
+BENCHMARK_CAPTURE(BM_ProfileAddAt, back, 0.98)->Arg(512)->Arg(4096);
+
 void BM_ProfileMinIn(benchmark::State& state) {
   const StepProfile profile = busy_profile(state.range(0), 3);
   Prng prng(4);

@@ -1,8 +1,8 @@
 // SegStore: the segment storage engine under StepProfile (ROADMAP item 5).
 //
-// Structure-of-arrays with small-buffer optimization. Starts and values live
-// in two parallel contiguous int64 arrays instead of an array of {start,
-// value} pairs:
+// Structure-of-arrays with small-buffer optimization, stored two-ended.
+// Starts and values live in two parallel contiguous int64 arrays instead of
+// an array of {start, value} pairs:
 //
 //  * SoA -- the profile hot paths are asymmetric: binary searches
 //    (index_of, rollback's lower_bound) touch only starts, while the
@@ -16,6 +16,30 @@
 //    service workloads' undo records are nearly always <= 6 segments, while
 //    persistent profiles spill immediately regardless of N -- so N covers
 //    the undo/probe population without bloating every profile.
+//  * Two-ended -- the live slots are [front, front + size) of a block of
+//    `capacity()` slots, with free slots on both sides. Every edit (insert,
+//    erase, replace_range, push_back) turns a range [lo, hi) into n slots
+//    by shifting whichever side of it is shorter: the lo slots before it
+//    or the size - hi slots after it. Event-loop schedulers commit at
+//    their clock, near the front of the profile, so a split there moves a
+//    handful of slots instead of the whole live tail, and compact_before's
+//    prefix erase is O(1) (it only advances front).
+//
+// Room rule. When the shorter side has no free slots for a growing edit, a
+// heap store never shifts its longer side instead. It re-centres: in place
+// while the result fills at most half the block, otherwise into a fresh
+// block of twice the capacity (or exactly the result, if larger). Either
+// way the result sits centred, with at least a quarter of the block free
+// on each side (the in-place case) or at least half of the contents' size
+// (a doubled block). Amortization: a re-centre moves O(size) slots and
+// then at least size/2 further slots can be added on the side that ran out
+// before the next one, so each edit costs O(min(lo, size - hi)) amortized.
+// The rule also pins capacity: a store that cycles prefix erases with back
+// inserts (history compaction in the service loop) re-centres in place
+// instead of growing, so capacity stays within 4x its high-water size. An
+// inline store re-centres within its buffer whenever the result fits (it
+// moves at most kInlineSegments slots): a store that never holds more than
+// kInlineSegments slots never allocates.
 //
 // Heap spills allocate with std::malloc + note_alloc(), never operator new,
 // so binaries with the global alloc hook (bench/alloc_hook.cpp) count each
@@ -23,9 +47,14 @@
 // is the high-water mark, which is exactly what the steady-state service
 // decision needs to stay allocation-free.
 //
+// Pointer contract: times_data()/values_data() point at the first live
+// slot and stay valid until the next mutation of the store (any edit can
+// move the front), not just the next capacity change. StepProfile's
+// callers are read-only scans between mutations.
+//
 // The API is deliberately primitive -- indices, not iterators -- because
-// StepProfile is its only intended client and every operation maps to one
-// memmove/memcpy over the two arrays.
+// StepProfile is its only intended client and every operation maps to at
+// most two memmoves per array.
 #pragma once
 
 #include <algorithm>
@@ -84,69 +113,60 @@ class SegStore {
     return values_[size_ - 1];
   }
 
-  // Contiguous SoA views; valid until the next capacity change.
+  // Contiguous SoA views of the live slots; valid until the next mutation.
   [[nodiscard]] const Time* times_data() const noexcept { return times_; }
   [[nodiscard]] const std::int64_t* values_data() const noexcept {
     return values_;
   }
   [[nodiscard]] std::int64_t* values_data() noexcept { return values_; }
 
-  void clear() noexcept { size_ = 0; }
+  void clear() noexcept {
+    size_ = 0;
+    set_front(0);
+  }
 
+  // Room for n slots filled by push_back without a reallocation.
   void reserve(std::size_t n) {
-    if (n > cap_) grow(n);
+    if (n > cap_) relocate(std::max(cap_ * 2, n), 0, size_, size_, 0);
   }
 
   void push_back(Time t, std::int64_t v) {
-    if (size_ == cap_) grow(size_ + 1);
-    times_[size_] = t;
-    values_[size_] = v;
-    ++size_;
+    if (front_ + size_ == cap_) resize_range(size_, size_, 1);
+    else ++size_;
+    times_[size_ - 1] = t;
+    values_[size_ - 1] = v;
   }
 
   void insert(std::size_t pos, Time t, std::int64_t v) {
-    if (size_ == cap_) grow(size_ + 1);
-    const std::size_t tail = size_ - pos;
-    std::memmove(times_ + pos + 1, times_ + pos, tail * sizeof(Time));
-    std::memmove(values_ + pos + 1, values_ + pos,
-                 tail * sizeof(std::int64_t));
+    resize_range(pos, pos, 1);
     times_[pos] = t;
     values_[pos] = v;
-    ++size_;
   }
 
   void erase(std::size_t pos) { erase(pos, pos + 1); }
 
   // Erases [lo, hi).
-  void erase(std::size_t lo, std::size_t hi) {
-    const std::size_t tail = size_ - hi;
-    std::memmove(times_ + lo, times_ + hi, tail * sizeof(Time));
-    std::memmove(values_ + lo, values_ + hi, tail * sizeof(std::int64_t));
-    size_ -= hi - lo;
-  }
+  void erase(std::size_t lo, std::size_t hi) { resize_range(lo, hi, 0); }
 
-  // Replaces contents with src's [lo, hi) slice. Reuses capacity.
+  // Replaces contents with src's [lo, hi) slice, centred in this store's
+  // block. Reuses capacity.
   void assign_range(const SegStore& src, std::size_t lo, std::size_t hi) {
     const std::size_t n = hi - lo;
-    if (n > cap_) grow(n);
+    // A fresh block takes none of the old contents (they are replaced).
+    if (n > cap_) relocate(std::max(cap_ * 2, n), 0, 0, size_, 0);
+    set_front((cap_ - n) / 2);
     std::memcpy(times_, src.times_ + lo, n * sizeof(Time));
     std::memcpy(values_, src.values_ + lo, n * sizeof(std::int64_t));
     size_ = n;
   }
 
-  // Splices src (all of it) over this store's [lo, hi): one capacity check
-  // plus at most one memmove per array. The rollback primitive.
+  // Splices src (all of it) over this store's [lo, hi): at most one shift
+  // of the shorter side plus one copy per array. The rollback primitive.
   void replace_range(std::size_t lo, std::size_t hi, const SegStore& src) {
     const std::size_t n = src.size_;
-    const std::size_t new_size = size_ - (hi - lo) + n;
-    if (new_size > cap_) grow(new_size);
-    const std::size_t tail = size_ - hi;
-    std::memmove(times_ + lo + n, times_ + hi, tail * sizeof(Time));
-    std::memmove(values_ + lo + n, values_ + hi,
-                 tail * sizeof(std::int64_t));
+    resize_range(lo, hi, n);
     std::memcpy(times_ + lo, src.times_, n * sizeof(Time));
     std::memcpy(values_ + lo, src.values_, n * sizeof(std::int64_t));
-    size_ = new_size;
   }
 
   // First index whose start is > t (== std::upper_bound on the starts).
@@ -165,6 +185,12 @@ class SegStore {
   // index_build_count's semantics: copies start at zero, moves carry it).
   [[nodiscard]] std::uint64_t alloc_count() const noexcept { return allocs_; }
 
+  // Live slots this store's edits have moved (diagnostic, same copy/move
+  // semantics as alloc_count): shifted sides, plus the whole contents on
+  // every re-centre or reallocation. Copying new content in (assign_range,
+  // replace_range's source) is not a move.
+  [[nodiscard]] std::uint64_t moved_slots() const noexcept { return moved_; }
+
   friend bool operator==(const SegStore& a, const SegStore& b) noexcept {
     return a.size_ == b.size_ &&
            std::memcmp(a.times_, b.times_, a.size_ * sizeof(Time)) == 0 &&
@@ -173,61 +199,151 @@ class SegStore {
   }
 
  private:
-  [[nodiscard]] bool inline_store() const noexcept {
-    return times_ == inline_times_;
+  [[nodiscard]] bool inline_store() const noexcept { return heap_ == nullptr; }
+
+  // Points the live window at block slot `front`.
+  void set_front(std::size_t front) noexcept {
+    Time* times = inline_store() ? inline_times_ : heap_;
+    std::int64_t* values = inline_store() ? inline_values_ : heap_ + cap_;
+    times_ = times + front;
+    values_ = values + front;
+    front_ = front;
   }
 
-  void release() noexcept {
-    if (!inline_store()) std::free(times_);
+  // Moves count live slots from live index `from` to live index `to`, in
+  // both arrays; `to` may lie before the first live slot (down to -front_)
+  // or past the last, and the ranges may overlap.
+  void move_live(std::ptrdiff_t from, std::ptrdiff_t to,
+                 std::size_t count) noexcept {
+    std::memmove(times_ + to, times_ + from, count * sizeof(Time));
+    std::memmove(values_ + to, values_ + from, count * sizeof(std::int64_t));
+    moved_ += count;
   }
+
+  // Moves the first `left` live slots by `by` slots and the start of the
+  // live window with them.
+  void slide_front(std::size_t left, std::ptrdiff_t by) noexcept {
+    move_live(0, by, left);
+    times_ += by;
+    values_ += by;
+    front_ += static_cast<std::size_t>(by);  // wraps back for by < 0
+  }
+
+  // The one edit primitive: turns live slots [lo, hi) into n slots (left
+  // unset) by shifting the shorter side, re-centring when that side has no
+  // room (see "Room rule" in the header comment).
+  void resize_range(std::size_t lo, std::size_t hi, std::size_t n) {
+    const std::size_t removed = hi - lo;
+    const std::size_t right = size_ - hi;
+    const auto ihi = static_cast<std::ptrdiff_t>(hi);
+    // Shift the left side (the first lo slots) or the right side (the
+    // last `right` slots), whichever is shorter.
+    const bool shift_left = lo < right;
+    if (n < removed) {
+      const auto d = static_cast<std::ptrdiff_t>(removed - n);
+      if (shift_left) slide_front(lo, d);
+      else move_live(ihi, ihi - d, right);
+    } else if (n > removed) {
+      const std::size_t d = n - removed;
+      const auto sd = static_cast<std::ptrdiff_t>(d);
+      if (shift_left && front_ >= d) {
+        slide_front(lo, -sd);
+      } else if (!shift_left && cap_ - front_ - size_ >= d) {
+        move_live(ihi, ihi + sd, right);
+      } else {
+        const std::size_t new_size = size_ - removed + n;
+        const std::size_t in_place_limit = inline_store() ? cap_ : cap_ / 2;
+        const std::size_t new_cap =
+            new_size <= in_place_limit ? cap_ : std::max(cap_ * 2, new_size);
+        relocate(new_cap, (new_cap - new_size) / 2, lo, hi, n);
+        return;
+      }
+    }
+    size_ = size_ - removed + n;
+  }
+
+  // Lays the contents out at block slot new_front of a block of new_cap
+  // slots -- the current block when new_cap == cap_ -- with live slots
+  // [lo, hi) turned into n unset slots.
+  void relocate(std::size_t new_cap, std::size_t new_front, std::size_t lo,
+                std::size_t hi, std::size_t n) {
+    const std::size_t right = size_ - hi;
+    const std::size_t right_to = new_front + lo + n;
+    if (new_cap == cap_) {
+      // In place. Move first the piece travelling away from the other, so
+      // neither overwrites the other's source.
+      const auto shift = static_cast<std::ptrdiff_t>(new_front) -
+                         static_cast<std::ptrdiff_t>(front_);
+      const auto ihi = static_cast<std::ptrdiff_t>(hi);
+      const auto iright_to = static_cast<std::ptrdiff_t>(lo + n) + shift;
+      if (shift > 0) {
+        move_live(ihi, iright_to, right);
+        move_live(0, shift, lo);
+      } else {
+        move_live(0, shift, lo);
+        move_live(ihi, iright_to, right);
+      }
+    } else {
+      // One block, times first then values: a single allocation per spill.
+      auto* block = static_cast<std::int64_t*>(
+          std::malloc(2 * new_cap * sizeof(std::int64_t)));
+      if (block == nullptr) throw std::bad_alloc();
+      note_alloc(2 * new_cap * sizeof(std::int64_t));
+      ++allocs_;
+      Time* times = block;
+      std::int64_t* values = block + new_cap;
+      std::memcpy(times + new_front, times_, lo * sizeof(Time));
+      std::memcpy(values + new_front, values_, lo * sizeof(std::int64_t));
+      std::memcpy(times + right_to, times_ + hi, right * sizeof(Time));
+      std::memcpy(values + right_to, values_ + hi,
+                  right * sizeof(std::int64_t));
+      moved_ += lo + right;
+      release();
+      heap_ = block;
+      cap_ = new_cap;
+    }
+    size_ = size_ - (hi - lo) + n;
+    set_front(new_front);
+  }
+
+  void release() noexcept { std::free(heap_); }
 
   // Move support: steal other's heap block, or memcpy its inline contents;
   // other is left empty on its inline buffer either way.
   void steal(SegStore& other) noexcept {
     size_ = other.size_;
     allocs_ = other.allocs_;
+    moved_ = other.moved_;
     if (other.inline_store()) {
       cap_ = kInlineSegments;
-      times_ = inline_times_;
-      values_ = inline_values_;
-      std::memcpy(inline_times_, other.inline_times_,
-                  size_ * sizeof(Time));
-      std::memcpy(inline_values_, other.inline_values_,
+      heap_ = nullptr;
+      std::memcpy(inline_times_, other.times_, size_ * sizeof(Time));
+      std::memcpy(inline_values_, other.values_,
                   size_ * sizeof(std::int64_t));
+      set_front(0);
     } else {
       cap_ = other.cap_;
+      heap_ = other.heap_;
       times_ = other.times_;
       values_ = other.values_;
+      front_ = other.front_;
       other.cap_ = kInlineSegments;
-      other.times_ = other.inline_times_;
-      other.values_ = other.inline_values_;
+      other.heap_ = nullptr;
     }
     other.size_ = 0;
     other.allocs_ = 0;
-  }
-
-  void grow(std::size_t need) {
-    std::size_t new_cap = cap_ * 2;
-    if (new_cap < need) new_cap = need;
-    // One block, times first then values: a single allocation per spill.
-    auto* block = static_cast<std::int64_t*>(
-        std::malloc(2 * new_cap * sizeof(std::int64_t)));
-    if (block == nullptr) throw std::bad_alloc();
-    note_alloc(2 * new_cap * sizeof(std::int64_t));
-    ++allocs_;
-    std::memcpy(block, times_, size_ * sizeof(Time));
-    std::memcpy(block + new_cap, values_, size_ * sizeof(std::int64_t));
-    release();
-    times_ = block;
-    values_ = block + new_cap;
-    cap_ = new_cap;
+    other.moved_ = 0;
+    other.set_front(0);
   }
 
   std::size_t size_ = 0;
   std::size_t cap_ = kInlineSegments;
-  Time* times_ = inline_times_;
-  std::int64_t* values_ = inline_values_;
+  std::size_t front_ = 0;  // block slot of live slot 0
+  Time* times_ = inline_times_;  // live slot 0 of the starts
+  std::int64_t* values_ = inline_values_;  // live slot 0 of the values
+  std::int64_t* heap_ = nullptr;  // heap block (times, then values), or null
   std::uint64_t allocs_ = 0;
+  std::uint64_t moved_ = 0;
   Time inline_times_[kInlineSegments];
   std::int64_t inline_values_[kInlineSegments];
 };

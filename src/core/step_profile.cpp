@@ -207,8 +207,9 @@ void StepProfile::rollback(Undo& undo) {
                     "rollback does not reverse the newest mutation of its "
                     "region");
   undo.live_ = false;
-  // Splice the prior steps back in: one capacity check plus one memmove per
-  // array (SegStore::replace_range), never add's probe/split/coalesce path.
+  // Splice the prior steps back in: one shift of the shorter side plus one
+  // copy per array (SegStore::replace_range), never add's
+  // probe/split/coalesce path.
   steps_.replace_range(lo, hi, prior);
   index_rollback_patch(undo);
   ++version_;

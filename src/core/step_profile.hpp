@@ -15,7 +15,11 @@
 // means pointwise function equality. The SoA layout keeps the binary
 // searches on a contiguous start array and the scan-heavy value walks on a
 // contiguous value array; profiles of up to SegStore::kInlineSegments
-// segments never touch the heap.
+// segments never touch the heap. The store keeps free slots at both ends
+// of its block, and every split, coalesce or rollback splice shifts only
+// the shorter side of its edit point: an add near the profile's front (a
+// scheduler committing at its clock) or its back moves a few slots, not
+// the whole tail; the worst case, an add in the middle, moves half.
 //
 // Windowed queries (min_in / max_in / first_below / first_at_least) are the
 // schedulers' per-placement hot path. Each starts as a bounded linear scan
@@ -211,7 +215,7 @@ class StepProfile {
   void add_recorded(Time from, Time to, std::int64_t delta, Undo& undo);
 
   // Reverts the recorded add: splices the prior segments back (O(touched)
-  // plus the vector shift), after RESCHED_CHECK-ing that the current
+  // plus the shorter side's shift), after RESCHED_CHECK-ing that the current
   // region still matches the recorded post-state -- reversing anything
   // other than the newest overlapping mutation is a caller bug, surfaced
   // loudly instead of corrupting the function. Restores the index snapshot
@@ -234,6 +238,14 @@ class StepProfile {
     return steps_.alloc_count();
   }
 
+  // Segment slots the store has moved to make or close room for edits
+  // (SegStore::moved_slots; same copy/move semantics as alloc_count). The
+  // noise-free work counter of the two-ended store: a split near either
+  // end of the profile moves a few slots, not the live tail.
+  [[nodiscard]] std::uint64_t moved_slots() const noexcept {
+    return steps_.moved_slots();
+  }
+
   // Monotone mutation version: incremented by every successful state change
   // (add, add_recorded, rollback, compact_before, copy assignment). The O(1)
   // checkpoint primitive of the incremental-replan layer: two equal versions
@@ -249,7 +261,8 @@ class StepProfile {
   // callers that advance a clock monotonically and never query the past
   // again (the resident service profile): dead history otherwise accumulates
   // one segment per completed job forever. Structural, so it drops the query
-  // index. Returns the number of segments removed.
+  // index. The prefix erase itself is O(1) in storage: the two-ended store
+  // only advances its front. Returns the number of segments removed.
   std::size_t compact_before(Time t);
 
   // Minimum value over the window [from, to); requires from < to.

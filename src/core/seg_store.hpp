@@ -20,10 +20,13 @@
 //    `capacity()` slots, with free slots on both sides. Every edit (insert,
 //    erase, replace_range, push_back) turns a range [lo, hi) into n slots
 //    by shifting whichever side of it is shorter: the lo slots before it
-//    or the size - hi slots after it. Event-loop schedulers commit at
-//    their clock, near the front of the profile, so a split there moves a
-//    handful of slots instead of the whole live tail, and compact_before's
-//    prefix erase is O(1) (it only advances front).
+//    or the size - hi slots after it (the left side must be shorter by
+//    more than kShiftBias slots, so small stores shift like a one-ended
+//    array and their memmove direction stays predictable). Event-loop
+//    schedulers commit at their clock, near the front of the profile, so
+//    a split there moves a handful of slots instead of the whole live
+//    tail, and compact_before's prefix erase is O(1) (it only advances
+//    front).
 //
 // Room rule. When the shorter side has no free slots for a growing edit, a
 // heap store never shifts its longer side instead. It re-centres: in place
@@ -33,7 +36,8 @@
 // on each side (the in-place case) or at least half of the contents' size
 // (a doubled block). Amortization: a re-centre moves O(size) slots and
 // then at least size/2 further slots can be added on the side that ran out
-// before the next one, so each edit costs O(min(lo, size - hi)) amortized.
+// before the next one, so each edit costs O(min(lo, size - hi) +
+// kShiftBias) amortized.
 // The rule also pins capacity: a store that cycles prefix erases with back
 // inserts (history compaction in the service loop) re-centres in place
 // instead of growing, so capacity stays within 4x its high-water size. An
@@ -73,6 +77,13 @@ class SegStore {
  public:
   // Inline capacity, sized from measurement (see the header comment).
   static constexpr std::size_t kInlineSegments = 8;
+  // An edit shifts its left side only when that side is shorter than the
+  // right by more than this many slots. Which side moves decides the
+  // memmove's direction; on small stores edited at random positions a
+  // 50/50 direction costs more in mispredictions than shifting up to 32
+  // extra slots (measured: 6- and 24-slot stores edit ~8 ns slower per
+  // op unbiased, on par with a one-ended store at 32).
+  static constexpr std::size_t kShiftBias = 32;
 
   SegStore() noexcept = default;
 
@@ -220,46 +231,37 @@ class SegStore {
     moved_ += count;
   }
 
-  // Moves the first `left` live slots by `by` slots and the start of the
-  // live window with them.
-  void slide_front(std::size_t left, std::ptrdiff_t by) noexcept {
-    move_live(0, by, left);
-    times_ += by;
-    values_ += by;
-    front_ += static_cast<std::size_t>(by);  // wraps back for by < 0
-  }
-
   // The one edit primitive: turns live slots [lo, hi) into n slots (left
   // unset) by shifting the shorter side, re-centring when that side has no
   // room (see "Room rule" in the header comment).
   void resize_range(std::size_t lo, std::size_t hi, std::size_t n) {
-    const std::size_t removed = hi - lo;
+    const auto grow = static_cast<std::ptrdiff_t>(n) -
+                      static_cast<std::ptrdiff_t>(hi - lo);
+    if (grow == 0) return;
     const std::size_t right = size_ - hi;
-    const auto ihi = static_cast<std::ptrdiff_t>(hi);
     // Shift the left side (the first lo slots) or the right side (the
-    // last `right` slots), whichever is shorter.
-    const bool shift_left = lo < right;
-    if (n < removed) {
-      const auto d = static_cast<std::ptrdiff_t>(removed - n);
-      if (shift_left) slide_front(lo, d);
-      else move_live(ihi, ihi - d, right);
-    } else if (n > removed) {
-      const std::size_t d = n - removed;
-      const auto sd = static_cast<std::ptrdiff_t>(d);
-      if (shift_left && front_ >= d) {
-        slide_front(lo, -sd);
-      } else if (!shift_left && cap_ - front_ - size_ >= d) {
-        move_live(ihi, ihi + sd, right);
-      } else {
-        const std::size_t new_size = size_ - removed + n;
-        const std::size_t in_place_limit = inline_store() ? cap_ : cap_ / 2;
-        const std::size_t new_cap =
-            new_size <= in_place_limit ? cap_ : std::max(cap_ * 2, new_size);
-        relocate(new_cap, (new_cap - new_size) / 2, lo, hi, n);
-        return;
-      }
+    // last `right` slots), whichever is shorter (see kShiftBias).
+    const bool shift_left = lo + kShiftBias < right;
+    const std::size_t room = shift_left ? front_ : cap_ - front_ - size_;
+    if (grow > 0 && room < static_cast<std::size_t>(grow)) {
+      const std::size_t new_size = size_ + static_cast<std::size_t>(grow);
+      const std::size_t in_place_limit = inline_store() ? cap_ : cap_ / 2;
+      const std::size_t new_cap =
+          new_size <= in_place_limit ? cap_ : std::max(cap_ * 2, new_size);
+      relocate(new_cap, (new_cap - new_size) / 2, lo, hi, n);
+      return;
     }
-    size_ = size_ - removed + n;
+    // The left side moves by -grow and takes the front with it; the right
+    // side moves by +grow.
+    const auto from = shift_left ? std::ptrdiff_t{0}
+                                 : static_cast<std::ptrdiff_t>(hi);
+    const std::ptrdiff_t front_shift = shift_left ? -grow : 0;
+    move_live(from, from + (shift_left ? -grow : grow),
+              shift_left ? lo : right);
+    times_ += front_shift;
+    values_ += front_shift;
+    front_ += static_cast<std::size_t>(front_shift);  // wraps back if < 0
+    size_ += static_cast<std::size_t>(grow);  // wraps back if < 0
   }
 
   // Lays the contents out at block slot new_front of a block of new_cap

@@ -6,8 +6,6 @@
 // LSRC and EASY event loops as the machine width grows.
 #include "bench_util.hpp"
 
-#include <optional>
-
 #include "algorithms/backfill_queue.hpp"
 #include "core/arena.hpp"
 #include "core/profile_allocator.hpp"
@@ -40,22 +38,25 @@ void print_tables() {
       "Core profile operations vs segment count; timings below.");
 }
 
+// One add of a 200-tick window at a random position. The profile is built
+// once, outside the timed loop; iterations alternate an add of -1 at a
+// fresh random start with its inverse at the same start, so every
+// iteration is exactly one add and the profile returns to its initial
+// state every second iteration (as in BM_ProfileAddAt below).
 void BM_ProfileAdd(benchmark::State& state) {
+  StepProfile profile = busy_profile(state.range(0), 2);
   Prng prng(1);
+  Time start = 0;
   std::uint64_t allocs = 0;
   std::uint64_t ops = 0;
-  std::optional<StepProfile> profile;
   for (auto _ : state) {
-    state.PauseTiming();
-    // The previous iteration's profile is torn down here, untimed.
-    profile.emplace(busy_profile(state.range(0), 2));
-    state.ResumeTiming();
-    const Time start = prng.uniform_int(0, 100'000);
+    const bool fresh = ops % 2 == 0;
+    if (fresh) start = prng.uniform_int(0, 100'000);
     const std::uint64_t allocs_begin = alloc_count();
-    profile->add(start, start + 200, -1);
+    profile.add(start, start + 200, fresh ? -1 : 1);
     allocs += alloc_count() - allocs_begin;
     ++ops;
-    benchmark::DoNotOptimize(profile->segment_count());
+    benchmark::DoNotOptimize(profile.segment_count());
   }
   state.counters["allocs_per_op"] =
       ops > 0 ? static_cast<double>(allocs) / static_cast<double>(ops) : 0.0;
@@ -165,12 +166,8 @@ BENCHMARK(BM_EarliestFit)->Range(64, 16384);
 void BM_BackfillChurn(benchmark::State& state) {
   // Tentative probe loop in branch-and-bound's shape: commit a placement,
   // run a wide windowed query, revert (backtrack). The undo log reverts in
-  // O(touched) and keeps the index snapshot warm -- the index_rebuilds
-  // counter stays at the single warm-up build no matter how many probes
-  // run. Structure mirrors BM_BackfillChurnLegacy exactly
-  // (same prng, same skip decisions), so the delta is the pair mechanism.
+  // O(touched) and reuses its buffers, so a warm loop never allocates.
   FreeProfile free(busy_profile(state.range(0), 6));
-  benchmark::DoNotOptimize(free.profile().min_in(0, 100'000));  // warm index
   Prng prng(21);
   std::uint64_t allocs = 0;
   std::uint64_t probes = 0;
@@ -185,35 +182,14 @@ void BM_BackfillChurn(benchmark::State& state) {
     allocs += alloc_count() - allocs_begin;
     ++probes;
   }
-  state.counters["index_rebuilds"] =
-      static_cast<double>(free.profile().index_build_count());
   // Steady-state commit/probe/rollback cycles should be allocation-free:
   // undo frames come from the spare pool, segment edits reuse capacity.
+  // CI gates this counter (bench/alloc_budget.json, probe_budgets).
   state.counters["allocs_per_probe"] =
       probes > 0 ? static_cast<double>(allocs) / static_cast<double>(probes)
                  : 0.0;
 }
 BENCHMARK(BM_BackfillChurn)->Range(64, 4096);
-
-void BM_BackfillChurnLegacy(benchmark::State& state) {
-  // The pre-undo-log pair: uncommit re-runs add's probe/split/coalesce and
-  // each half drains one index-rebuild budget unit, so sustained probing
-  // forces a full O(s) rebuild every ~s/2 pairs (watch index_rebuilds).
-  StepProfile profile = busy_profile(state.range(0), 6);
-  benchmark::DoNotOptimize(profile.min_in(0, 100'000));  // warm index
-  Prng prng(21);
-  for (auto _ : state) {
-    const Time t = prng.uniform_int(0, 50'000);
-    const ProcCount q = prng.uniform_int(1, 64);
-    if (profile.first_below(t, t + 300, q) != kTimeInfinity) continue;
-    profile.add(t, t + 300, -q);
-    benchmark::DoNotOptimize(profile.min_in(0, 100'000));
-    profile.add(t, t + 300, q);
-  }
-  state.counters["index_rebuilds"] =
-      static_cast<double>(profile.index_build_count());
-}
-BENCHMARK(BM_BackfillChurnLegacy)->Range(64, 4096);
 
 void BM_BackfillQueuePass(benchmark::State& state) {
   // 64 pending jobs with powers-of-two demands up to max_q = range(0), the

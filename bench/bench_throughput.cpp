@@ -34,8 +34,8 @@ Instance workload(std::int64_t n, bool reserved) {
 
 // The perfbench `batch` shape: 20000 jobs on m = 64 with 2000
 // alpha-restricted reservations over a 20n-tick horizon. Its ~4k-segment
-// profiles build the query index, so wide windowed queries (EASY's
-// head-window admission test among them) take the indexed path.
+// profiles make wide windowed queries (EASY's head-window admission test
+// among them) long scans.
 Instance batch_workload() {
   constexpr std::size_t kJobs = 20000;
   WorkloadConfig config;

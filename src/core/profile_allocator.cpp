@@ -32,7 +32,7 @@ ProcCount FreeProfile::capacity_at(Time t) const {
 bool FreeProfile::fits_at(Time t, ProcCount q, Time p) const {
   RESCHED_REQUIRE(t >= 0 && q >= 1 && p > 0);
   // Equivalent to min_in(t, t+p) >= q, but bails out at the first deficient
-  // segment (and descends the index on wide windows).
+  // segment.
   return profile_.first_below(t, checked_add(t, p), q) == kTimeInfinity;
 }
 
@@ -43,8 +43,7 @@ Time FreeProfile::earliest_fit(Time t0, ProcCount q, Time p) const {
       "job can never fit: q exceeds the eventual free capacity");
   Time t = t0;
   while (true) {
-    // First moment in the window where capacity dips below q; an O(log s)
-    // tree descent on indexed profiles.
+    // First moment in the window where capacity dips below q.
     const Time deficient = profile_.first_below(t, checked_add(t, p), q);
     if (deficient == kTimeInfinity) return t;
     // The window can only become feasible once capacity comes back up to q;

@@ -26,9 +26,9 @@
 // pattern first-class: it subtracts the job and returns an opaque
 // CommitToken whose undo record (StepProfile's undo log) reverts the
 // allocation in O(touched segments) -- no re-run of add's split/coalesce
-// path, no index-snapshot drop, no budget drain, so arbitrarily long
-// search trees never trigger an O(s) index rebuild. A token must be
-// resolved exactly once, newest-first:
+// path -- and leaves the profile bit-identical, so arbitrarily long search
+// trees cost O(touched) per backtrack. A token must be resolved exactly
+// once, newest-first:
 //
 //   rollback(token)  -- revert the allocation,
 //   accept(token)    -- keep it, discarding the undo state in O(1).
@@ -45,10 +45,11 @@
 // pushed back?" test is a read-only windowed query on the uncommitted
 // profile (see easy_bf.cpp), so a rejected candidate never mutates it.
 //
-// Complexity: fits_at and each earliest_fit probe are O(log s) on fragmented
-// profiles through StepProfile's lazily built min/max segment-tree index;
-// earliest_fit leaps over whole runs of deficient segments per iteration
-// (first_at_least), so placements no longer rescan the profile linearly.
+// Complexity: fits_at is one binary search plus a scan of the segments in
+// its window, stopping at the first deficient one. Each earliest_fit
+// iteration leaps over a whole run of deficient segments (first_at_least),
+// so a placement visits each segment between t0 and its answer a bounded
+// number of times.
 //
 // ## Versioned plans (checkpoint / rewind -- the incremental-replan substrate)
 //
@@ -68,10 +69,9 @@
 //                              mutation a scheduler makes while planning is
 //                              therefore on the frame stack.
 //   rewind_to(checkpoint)   -- rolls the frame stack back to the checkpoint
-//                              depth, newest-first, in O(touched) per frame
-//                              with the query index kept warm (invariant I6
-//                              in step_profile.hpp): the whole plan suffix is
-//                              invalidated without an O(s) rebuild. Verifies
+//                              depth, newest-first, in O(touched) per frame:
+//                              the whole plan suffix is invalidated without
+//                              an O(s) rebuild of the profile. Verifies
 //                              through the profile version that nothing but
 //                              frames mutated since the checkpoint.
 //
@@ -163,9 +163,8 @@ class FreeProfile {
   [[nodiscard]] CommitToken commit_tentative(Time t, ProcCount q, Time p);
 
   // Reverts the newest open tentative commit, which must be the one the
-  // token names (RESCHED_CHECK otherwise). O(touched segments); never
-  // drops or rebuilds the profile's query index (invariant I6 in
-  // step_profile.hpp).
+  // token names (RESCHED_CHECK otherwise). O(touched segments); leaves the
+  // profile bit-identical to its state before the commit.
   void rollback(CommitToken&& token);
 
   // Seals the newest open tentative commit (same LIFO check): the
@@ -187,7 +186,7 @@ class FreeProfile {
 
   // Rolls the frame stack back to the checkpoint's depth, newest-first
   // (accepted-retained frames included), leaving the profile bit-identical
-  // to its checkpoint state with the query index warm. Trips RESCHED_CHECK
+  // to its checkpoint state. Trips RESCHED_CHECK
   // if any permanent mutation (adjust_capacity, non-retained commit,
   // compact_history) happened since the checkpoint -- those cannot be
   // rewound -- or if the stack is already below the checkpoint depth.

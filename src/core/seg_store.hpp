@@ -6,9 +6,8 @@
 //
 //  * SoA -- the profile hot paths are asymmetric: binary searches
 //    (index_of, rollback's lower_bound) touch only starts, while the
-//    scan-heavy leaf walks of the windowed queries and the index rebuild
-//    stream only values. Splitting the arrays halves the cache traffic of
-//    both, and build_index's breakpoint snapshot becomes one memcpy.
+//    windowed queries' linear scans stream mostly values. Splitting the
+//    arrays halves the cache traffic of both.
 //  * SBO -- profiles of up to kInlineSegments segments live entirely inside
 //    the object: the thousands of short-lived profiles churn repair and
 //    backfill probes create never touch the heap. The inline capacity was
@@ -30,20 +29,22 @@
 //
 // Room rule. When the shorter side has no free slots for a growing edit, a
 // heap store never shifts its longer side instead. It re-centres: in place
-// while the result fills at most half the block, otherwise into a fresh
-// block of twice the capacity (or exactly the result, if larger). Either
-// way the result sits centred, with at least a quarter of the block free
-// on each side (the in-place case) or at least half of the contents' size
-// (a doubled block). Amortization: a re-centre moves O(size) slots and
-// then at least size/2 further slots can be added on the side that ran out
-// before the next one, so each edit costs O(min(lo, size - hi) +
+// while the result fills at most three quarters of the block, otherwise
+// into a fresh block of twice the capacity (or exactly the result, if
+// larger). Either way the result sits centred, with at least an eighth of
+// the block -- a sixth of the contents' size -- free on each side (the
+// in-place case) or at least half of the contents' size (a doubled block).
+// Amortization: a re-centre moves O(size) slots, and the side that ran out
+// must then take at least size/6 slots of net growth before the next
+// re-centre or growth, so each edit costs O(min(lo, size - hi) +
 // kShiftBias) amortized.
 // The rule also pins capacity: a store that cycles prefix erases with back
 // inserts (history compaction in the service loop) re-centres in place
-// instead of growing, so capacity stays within 4x its high-water size. An
-// inline store re-centres within its buffer whenever the result fits (it
-// moves at most kInlineSegments slots): a store that never holds more than
-// kInlineSegments slots never allocates.
+// instead of growing, and a block only doubles once the contents exceed
+// three quarters of it, so capacity stays within 8/3 of the high-water
+// size. An inline store re-centres within its buffer whenever the result
+// fits (it moves at most kInlineSegments slots): a store that never holds
+// more than kInlineSegments slots never allocates.
 //
 // Heap spills allocate with std::malloc + note_alloc(), never operator new,
 // so binaries with the global alloc hook (bench/alloc_hook.cpp) count each
@@ -192,8 +193,8 @@ class SegStore {
         std::lower_bound(times_, times_ + size_, t) - times_);
   }
 
-  // Heap blocks this store has allocated (diagnostic; mirrors
-  // index_build_count's semantics: copies start at zero, moves carry it).
+  // Heap blocks this store has allocated (diagnostic: copies start at zero,
+  // moves carry it).
   [[nodiscard]] std::uint64_t alloc_count() const noexcept { return allocs_; }
 
   // Live slots this store's edits have moved (diagnostic, same copy/move
@@ -245,7 +246,8 @@ class SegStore {
     const std::size_t room = shift_left ? front_ : cap_ - front_ - size_;
     if (grow > 0 && room < static_cast<std::size_t>(grow)) {
       const std::size_t new_size = size_ + static_cast<std::size_t>(grow);
-      const std::size_t in_place_limit = inline_store() ? cap_ : cap_ / 2;
+      const std::size_t in_place_limit =
+          inline_store() ? cap_ : cap_ - cap_ / 4;
       const std::size_t new_cap =
           new_size <= in_place_limit ? cap_ : std::max(cap_ * 2, new_size);
       relocate(new_cap, (new_cap - new_size) / 2, lo, hi, n);

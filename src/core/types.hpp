@@ -17,9 +17,9 @@ using Time = std::int64_t;
 // Processor counts are 64-bit as well: work areas (q * p) flow through the
 // same checked arithmetic as times.
 using ProcCount = std::int64_t;
-// Index of a job inside its Instance (dense, 0-based).
+// Position of a job inside its Instance (dense, 0-based).
 using JobId = std::int32_t;
-// Index of a reservation inside its Instance (dense, 0-based).
+// Position of a reservation inside its Instance (dense, 0-based).
 using ReservationId = std::int32_t;
 
 // A time safely above every horizon we can construct, yet far enough from

@@ -126,8 +126,8 @@ void dfs(SearchState& state) {
     if (completion >= state.best) continue;  // placing it can't improve
 
     // Tentative commit: the undo token reverts the placement in O(touched)
-    // on backtrack, without the index churn (and silent-mismatch risk) of
-    // the old blind uncommit. Tokens nest with the DFS, so the LIFO
+    // on backtrack, without the split/coalesce re-run (and silent-mismatch
+    // risk) of the old blind uncommit. Tokens nest with the DFS, so the LIFO
     // discipline holds by construction.
     FreeProfile::CommitToken token =
         state.free.commit_tentative(start, job.q, job.p);

@@ -119,7 +119,7 @@ std::set<Time> reservation_ends(const Instance& instance) {
 // queries). Wide: 1500 alpha-restricted reservations over a 10000-tick
 // horizon (>2k profile segments) and log-uniform runtimes up to 3000
 // ticks, so blocked heads reserve long windows and the head-window query
-// spans more than StepProfile's indexed-leaf cutoff (256 segments).
+// spans hundreds of profile segments.
 Instance random_instance(std::uint64_t seed, bool wide) {
   WorkloadConfig jobs;
   jobs.n = wide ? 160 : 24;
@@ -284,7 +284,7 @@ TEST_P(EasyDifferential, RetainModeReplanRecordsTheOracleFrames) {
 INSTANTIATE_TEST_SUITE_P(Regimes, EasyDifferential,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "WideIndexed" : "Small";
+                           return info.param ? "Wide" : "Small";
                          });
 
 TEST(EasyBf, ReplanMutatesTheProfileOncePerPlacement) {

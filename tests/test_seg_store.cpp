@@ -8,7 +8,8 @@
 // below it fix the store's two contracts (a store of at most
 // kInlineSegments slots never allocates; a warm heap store cycling prefix
 // erases with back inserts stops allocating and keeps its capacity within
-// a fixed multiple of its high-water size) and the mechanism the store
+// a fixed multiple of its high-water size; a store up to three quarters
+// full re-centres in place instead of growing) and the mechanism the store
 // exists for, counted by moved_slots(): an edit shifts the shorter side of
 // its edit point, so an add near either end of a ~4k-segment profile moves
 // a few slots and one in the middle at most half the store.
@@ -337,6 +338,55 @@ TEST(SegStore, PrefixErasesWithBackInsertsStopAllocatingAndKeepCapacity) {
         ((kCycles - kWarm) * 17.0);
     EXPECT_LT(per_insert, 8.0);
   }
+}
+
+TEST(SegStore, AFullSideReCentresInPlaceUpToThreeQuartersFull) {
+  // Room rule: a heap store more than half but at most three quarters full
+  // whose shorter side has run out of free slots re-centres inside its own
+  // block instead of doubling it. Set up: a 100-slot block with its 70
+  // live slots packed against the back (no room after the last slot).
+  constexpr std::size_t kCap = 100;
+  SegStore store;
+  store.reserve(kCap);
+  Model model;
+  for (std::size_t i = 0; i < kCap; ++i) {
+    store.push_back(static_cast<Time>(i), static_cast<std::int64_t>(i));
+    model.emplace_back(static_cast<Time>(i), static_cast<std::int64_t>(i));
+  }
+  store.erase(0, 30);
+  model.erase(model.begin(), model.begin() + 30);
+  ASSERT_EQ(store.capacity(), kCap);
+  const std::uint64_t store_allocs = store.alloc_count();
+  const std::uint64_t process_allocs = alloc_count();
+  const std::uint64_t moved0 = store.moved_slots();
+
+  store.push_back(1000, 1000);  // 71 of 100 slots: re-centre in place
+  model.emplace_back(1000, 1000);
+  EXPECT_EQ(store.capacity(), kCap);
+  EXPECT_EQ(store.alloc_count(), store_allocs);
+  EXPECT_EQ(alloc_count(), process_allocs);
+  EXPECT_EQ(store.moved_slots(), moved0 + 70) << "one move of the contents";
+  // Centred: (100 - 71) / 2 = 14 free slots before the contents, 15 after,
+  // so the next 4 back inserts (up to 75 slots) shift nothing.
+  const std::uint64_t moved1 = store.moved_slots();
+  for (Time t = 1001; t < 1005; ++t) {
+    store.push_back(t, t);
+    model.emplace_back(t, t);
+  }
+  EXPECT_EQ(store.moved_slots(), moved1);
+  ASSERT_NO_FATAL_FAILURE(expect_matches(store, model));
+
+  // Past three quarters the block doubles: pack the 75 slots against the
+  // back again, then one more back insert (76 of 100) grows the block.
+  SegStore packed;
+  packed.reserve(kCap);
+  for (std::size_t i = 0; i < kCap; ++i)
+    packed.push_back(static_cast<Time>(i), 0);
+  packed.erase(0, 25);
+  const std::uint64_t packed_allocs = packed.alloc_count();
+  packed.push_back(1000, 0);
+  EXPECT_EQ(packed.capacity(), 2 * kCap);
+  EXPECT_EQ(packed.alloc_count(), packed_allocs + 1);
 }
 
 // ~4k-segment profile, as in the batch workload's alpha-restricted setting.

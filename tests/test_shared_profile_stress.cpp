@@ -1,20 +1,18 @@
-// Shared-const-read stress: invariant I5 of core/step_profile.hpp.
+// Shared-const-read stress: concurrent const reads of one StepProfile.
 //
 // Many threads hammer ONE const StepProfile (and one const Instance through
-// the whole scheduler stack) at index scale. Before the atomic-snapshot
-// index this was undefined behavior -- every windowed query could race on
-// the lazily built cache -- and CampaignRunner had to regenerate instances
-// per task to sidestep it. These tests are the ThreadSanitizer targets of
-// the CI tsan job: correctness is asserted here (every thread must see the
-// single-threaded reference answers), and TSan asserts the absence of data
-// races in the same run.
+// the whole scheduler stack) on thousands of segments. CampaignRunner's
+// share_instances mode relies on const reads being safe to share: a const
+// StepProfile query reads the segment arrays and nothing else, with no
+// lazily built state behind it. These tests are the ThreadSanitizer
+// targets of the CI tsan job: correctness is asserted here (every thread
+// must see the single-threaded reference answers), and TSan asserts the
+// absence of data races in the same run -- a cache added to a const path
+// later would show up here.
 //
 // Query mix: min_in / max_in / first_below / first_at_least / integral /
-// time_to_accumulate -- every public read that can touch the segment-tree
-// snapshot, with windows wide enough (> kIndexedLeafCutoff segments) that
-// the indexed descent, not the bounded scan, answers them. The profile is
-// left index-less before the threads start, so all of them race to build
-// and install the first snapshot (the compare-exchange path).
+// time_to_accumulate -- every public windowed read, with windows spanning
+// hundreds of segments.
 #include "core/step_profile.hpp"
 
 #include <gtest/gtest.h>
@@ -39,9 +37,8 @@ constexpr std::size_t kThreads = 8;
 StepProfile fragmented_profile() {
   StepProfile profile(64);
   Prng prng(20260726);
-  // ~2000 windowed adds produce thousands of segments over [0, 200k) --
-  // far past kMinIndexedSegments, with plenty of room for windows spanning
-  // more than kIndexedLeafCutoff (256) segments.
+  // ~2000 windowed adds produce thousands of segments over [0, 200k), with
+  // plenty of room for windows spanning hundreds of segments.
   for (int i = 0; i < 2000; ++i) {
     const Time from = prng.uniform_int(0, 200000);
     const Time to = from + prng.uniform_int(1, 800);
@@ -74,7 +71,7 @@ TEST(SharedProfileStress, EightThreadsHammerOneConstProfile) {
   for (int i = 0; i < 64; ++i) {
     Query q{};
     q.from = prng.uniform_int(0, 150000);
-    q.to = q.from + prng.uniform_int(50000, 120000);  // wide: indexed path
+    q.to = q.from + prng.uniform_int(50000, 120000);  // wide window
     q.threshold = prng.uniform_int(58, 70);
     q.target = prng.uniform_int(1, 1 << 20);
     queries.push_back(q);

@@ -58,31 +58,6 @@ void BM_Campaign(benchmark::State& state) {
 BENCHMARK(BM_Campaign)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_CampaignShared(benchmark::State& state) {
-  // Same workload as BM_Campaign with share_instances on: one generator
-  // run per instance index instead of one per (instance, scheduler) task.
-  // The saved work is the 3 redundant regenerations per instance; the
-  // aggregated table is bit-identical (test_campaign_runner asserts it).
-  CampaignConfig config;
-  config.instances = 16;
-  config.seed = 7;
-  config.threads = static_cast<std::size_t>(state.range(0));
-  config.schedulers = {"lsrc", "conservative", "easy", "fcfs"};
-  config.share_instances = true;
-  const InstanceGenerator generator = [](std::size_t, std::uint64_t seed) {
-    return sweep_instance(seed);
-  };
-  for (auto _ : state) {
-    const CampaignResult result = run_campaign(generator, config);
-    benchmark::DoNotOptimize(result.cells.front().makespan.mean());
-  }
-  state.counters["schedules/s"] = benchmark::Counter(
-      static_cast<double>(config.instances * config.schedulers.size()),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_CampaignShared)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // Batch-path allocation cost: one schedule() call over the standard
 // campaign instance (n = 300, m = 64, 10 reservations), heap events
 // counted by the global alloc hook. The campaign fan-out above is

@@ -165,8 +165,8 @@ BENCHMARK(BM_EarliestFit)->Range(64, 16384);
 
 void BM_BackfillChurn(benchmark::State& state) {
   // Tentative probe loop in branch-and-bound's shape: commit a placement,
-  // run a wide windowed query, revert (backtrack). The undo log reverts in
-  // O(touched) and reuses its buffers, so a warm loop never allocates.
+  // run a wide windowed query, revert (backtrack). The revert is one
+  // inverse add on a warm segment store, so a warm loop never allocates.
   FreeProfile free(busy_profile(state.range(0), 6));
   Prng prng(21);
   std::uint64_t allocs = 0;
@@ -183,7 +183,7 @@ void BM_BackfillChurn(benchmark::State& state) {
     ++probes;
   }
   // Steady-state commit/probe/rollback cycles should be allocation-free:
-  // undo frames come from the spare pool, segment edits reuse capacity.
+  // the frame stack and the segment edits reuse their capacity.
   // CI gates this counter (bench/alloc_budget.json, probe_budgets).
   state.counters["allocs_per_probe"] =
       probes > 0 ? static_cast<double>(allocs) / static_cast<double>(probes)

@@ -111,7 +111,6 @@ int run_sweep(const CliParser& cli) {
   config.instances = static_cast<std::size_t>(cli.get_int("instances"));
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   config.threads = static_cast<std::size_t>(cli.get_int("threads"));
-  config.share_instances = cli.get_flag("share");
   const std::string schedulers = cli.get_string("schedulers");
   if (!schedulers.empty()) config.schedulers = split(schedulers, ',');
 
@@ -139,10 +138,7 @@ int run_sweep(const CliParser& cli) {
 
   const CampaignResult result = run_campaign(generator, config);
   std::cout << "campaign: " << result.instances << " instances, seed "
-            << config.seed
-            << (config.share_instances ? ", shared instances"
-                                       : ", regenerated instances")
-            << "\n\n";
+            << config.seed << "\n\n";
   result.to_table().print(std::cout);
   // Typed skip reasons (DomainError), not just a bare count.
   for (const CampaignCell& cell : result.cells)
@@ -190,9 +186,6 @@ int main(int argc, char** argv) {
   cli.add_option("n", "sweep: jobs per instance", "120");
   cli.add_option("m", "sweep: processors", "64");
   cli.add_option("reservations", "sweep: reservations per instance", "8");
-  cli.add_flag("share",
-               "sweep: generate each instance once and share it across "
-               "scheduler tasks (same table as regenerating)");
   cli.add_flag("dump-instances", "also write generated instances as SWF");
   if (!cli.parse(argc, argv)) return 0;
 

@@ -1,6 +1,5 @@
 #include "core/profile_allocator.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/availability.hpp"
@@ -8,12 +7,6 @@
 #include "util/require.hpp"
 
 namespace resched {
-
-namespace {
-// Floor of the frame-pool cap: enough for probe loops and shallow plans
-// even before the open-stack high-water mark has been established.
-constexpr std::size_t kMinPoolFrames = 8;
-}  // namespace
 
 FreeProfile::FreeProfile(StepProfile free_capacity)
     : profile_(std::move(free_capacity)) {
@@ -61,24 +54,10 @@ Time FreeProfile::earliest_fit(Time t0, ProcCount q, Time p) const {
 }
 
 void FreeProfile::push_frame(Time t, ProcCount q, Time p, bool accepted) {
-  OpenCommit frame;
-  if (!frame_pool_.empty()) {
-    // Recycle a whole retired frame: its undo record keeps the buffer
-    // capacity of the widest window it ever held, so a warmed-up
-    // plan/rewind cycle opens frames without touching the heap.
-    frame = std::move(frame_pool_.back());
-    frame_pool_.pop_back();
-  } else {
-    ++frame_misses_;
-  }
-  frame.serial = ++next_serial_;
-  frame.t = t;
-  frame.q = q;
-  frame.p = p;
-  frame.accepted = accepted;
-  profile_.add_recorded(t, checked_add(t, p), -q, frame.undo);
-  open_.push_back(std::move(frame));
-  open_high_water_ = std::max(open_high_water_, open_.size());
+  // Push only after the add succeeds: a throwing add leaves the stack as
+  // it was.
+  profile_.add(t, checked_add(t, p), -q);
+  open_.push_back(OpenCommit{++next_serial_, t, q, p, accepted});
 }
 
 void FreeProfile::commit(Time t, ProcCount q, Time p) {
@@ -112,12 +91,9 @@ FreeProfile::CommitToken FreeProfile::commit_tentative(Time t, ProcCount q,
 }
 
 void FreeProfile::resolve_top(bool keep) {
-  OpenCommit& top = open_.back();
-  if (!keep) profile_.rollback(top.undo);
-  // Adaptive cap: a rewind of the deepest plan ever carried recycles every
-  // frame; anything past that depth would be dead weight.
-  if (frame_pool_.size() < std::max(kMinPoolFrames, open_high_water_))
-    frame_pool_.push_back(std::move(top));
+  const OpenCommit& top = open_.back();
+  // The exact inverse of push_frame's add (see step_profile.hpp).
+  if (!keep) profile_.add(top.t, checked_add(top.t, top.p), top.q);
   open_.pop_back();
 }
 
@@ -137,8 +113,8 @@ void FreeProfile::accept(CommitToken&& token) {
                     "the newest open tentative commit");
   token.live_ = false;
   if (retain_accepted_) {
-    // Plan-recording mode: seal the decision but keep the frame (and its
-    // undo) so rewind_to can invalidate the whole plan suffix later.
+    // Plan-recording mode: seal the decision but keep the frame so
+    // rewind_to can invalidate the whole plan suffix later.
     open_.back().accepted = true;
     return;
   }

@@ -23,23 +23,24 @@
 //
 // Branch-and-bound's depth-first search is speculative: place a job,
 // recurse, revert the placement on backtrack. commit_tentative() makes that
-// pattern first-class: it subtracts the job and returns an opaque
-// CommitToken whose undo record (StepProfile's undo log) reverts the
-// allocation in O(touched segments) -- no re-run of add's split/coalesce
-// path -- and leaves the profile bit-identical, so arbitrarily long search
-// trees cost O(touched) per backtrack. A token must be resolved exactly
-// once, newest-first:
+// pattern first-class: it subtracts the job and pushes a frame (t, q, p) on
+// a LIFO stack, returning an opaque CommitToken that names it. Reverting
+// the frame is the exact inverse add of +q over [t, t+p); StepProfile's
+// canonical form makes the reverted segments bit-identical, so a
+// backtrack costs one add. A token must be resolved exactly once,
+// newest-first:
 //
 //   rollback(token)  -- revert the allocation,
-//   accept(token)    -- keep it, discarding the undo state in O(1).
+//   accept(token)    -- keep it, popping its frame in O(1).
 //
 // Tokens are strictly nested (LIFO), which is exactly the shape
 // depth-first backtracking produces; resolving any other token -- an
 // out-of-order one, or a dead one (already resolved, moved from or never
-// issued) -- trips RESCHED_CHECK. There is no by-value inverse of a
-// commit: one that does not reverse a live commit would silently inflate
-// free capacity above the instance's availability -- the classic
-// backfilling state-corruption bug.
+// issued) -- trips RESCHED_CHECK before the profile is touched. There is
+// no public by-value inverse of a commit: one that does not reverse a live
+// commit would silently inflate free capacity above the instance's
+// availability -- the classic backfilling state-corruption bug. Only the
+// top frame's own (t, q, p) is ever added back, once, as it is popped.
 //
 // Backfilling needs no speculation at all. EASY's "is the protected head
 // pushed back?" test is a read-only windowed query on the uncommitted
@@ -63,17 +64,18 @@
 //                              stack depth, the commit serial and the
 //                              underlying StepProfile::version().
 //   set_retain_accepted(on) -- plan-recording mode: commit/commit_fitted
-//                              open a recorded frame instead of mutating
-//                              unrecorded, and accept() keeps its frame (undo
-//                              intact) instead of discarding it. Every
-//                              mutation a scheduler makes while planning is
-//                              therefore on the frame stack.
+//                              push a frame instead of mutating unrecorded,
+//                              and accept() keeps its frame instead of
+//                              popping it. Every mutation a scheduler makes
+//                              while planning is therefore on the frame
+//                              stack.
 //   rewind_to(checkpoint)   -- rolls the frame stack back to the checkpoint
-//                              depth, newest-first, in O(touched) per frame:
-//                              the whole plan suffix is invalidated without
-//                              an O(s) rebuild of the profile. Verifies
-//                              through the profile version that nothing but
-//                              frames mutated since the checkpoint.
+//                              depth, newest-first, one inverse add per
+//                              frame: the whole plan suffix is invalidated
+//                              without an O(s) rebuild of the profile.
+//                              Verifies through its count of permanent
+//                              mutations that nothing but frames mutated
+//                              since the checkpoint.
 //
 // plan_since(checkpoint) reads the delta between the checkpoint's version
 // and now as the ordered list of (t, q, p) allocations -- the decisions a
@@ -99,8 +101,8 @@ class FreeProfile {
   // Opaque handle to one open tentative commit. Move-only; a
   // default-constructed or resolved token is dead. Every live token must be
   // resolved (rollback or accept) before any older token -- destroying one
-  // unresolved leaves its undo frame open and the next resolution will
-  // trip the LIFO check.
+  // unresolved leaves its frame open and the next resolution will trip the
+  // LIFO check.
   class CommitToken {
    public:
     CommitToken() = default;
@@ -155,20 +157,21 @@ class FreeProfile {
   // by Schedule::validate and the campaign oracle.
   void commit_fitted(Time t, ProcCount q, Time p);
 
-  // Tentatively subtracts q over [t, t+p) and opens an undo frame; the
+  // Tentatively subtracts q over [t, t+p) and pushes its frame; the
   // returned token resolves it via rollback() or accept(). Same
   // by-construction precondition (and Debug-only recheck) as
-  // commit_fitted. O(touched) to record; the frame's buffers are recycled
-  // across probes, so a reject/retry loop stops allocating after warm-up.
+  // commit_fitted. The frame is pushed only after the add succeeds: a
+  // throwing commit (t + p overflows) leaves the profile and the stack
+  // unchanged.
   [[nodiscard]] CommitToken commit_tentative(Time t, ProcCount q, Time p);
 
   // Reverts the newest open tentative commit, which must be the one the
-  // token names (RESCHED_CHECK otherwise). O(touched segments); leaves the
-  // profile bit-identical to its state before the commit.
+  // token names (RESCHED_CHECK otherwise) by adding q back over [t, t+p);
+  // leaves the profile bit-identical to its state before the commit.
   void rollback(CommitToken&& token);
 
   // Seals the newest open tentative commit (same LIFO check): the
-  // allocation becomes permanent and its undo state is discarded in O(1).
+  // allocation becomes permanent and its frame is popped in O(1).
   void accept(CommitToken&& token);
 
   // O(1) snapshot of the plan frontier; see the header notes. A checkpoint
@@ -205,9 +208,9 @@ class FreeProfile {
   [[nodiscard]] std::vector<PlanStep> plan_since(
       const Checkpoint& checkpoint) const;
 
-  // Plan-recording mode: while on, commit()/commit_fitted() open recorded
-  // frames and accept() retains its frame with the undo intact, so
-  // rewind_to can unwind a whole plan. Toggling requires an empty stack.
+  // Plan-recording mode: while on, commit()/commit_fitted() push frames and
+  // accept() retains its frame, so rewind_to can unwind a whole plan.
+  // Toggling requires an empty stack.
   void set_retain_accepted(bool on);
   [[nodiscard]] bool retain_accepted() const noexcept {
     return retain_accepted_;
@@ -231,21 +234,6 @@ class FreeProfile {
     return open_.size();
   }
 
-  // Heap blocks attributable to this view: the segment store's spills plus
-  // every frame the pool failed to recycle (frame_misses). A steady-state
-  // probe/plan loop on a warmed-up profile must keep this flat -- the
-  // bench-smoke budget gate and the fuzz suites assert exactly that.
-  [[nodiscard]] std::uint64_t alloc_count() const noexcept {
-    return profile_.alloc_count() + frame_misses_;
-  }
-
-  // Frames push_frame constructed from scratch because the recycle pool was
-  // empty (diagnostic; the adaptive pool keeps this at the warm-up cost:
-  // one per unit of peak frame-stack depth).
-  [[nodiscard]] std::uint64_t frame_misses() const noexcept {
-    return frame_misses_;
-  }
-
   // Smallest breakpoint > t, or kTimeInfinity (event-driven scheduling).
   [[nodiscard]] Time next_change_after(Time t) const;
 
@@ -254,8 +242,8 @@ class FreeProfile {
   }
 
  private:
-  // One open frame: identity for the LIFO checks and plan_since, plus the
-  // undo record that reverts it. `accepted` marks a frame retained in
+  // One open frame: identity for the LIFO checks and plan_since, and the
+  // allocation its revert adds back. `accepted` marks a frame retained in
   // plan-recording mode: sealed as a decision, still rewindable.
   struct OpenCommit {
     std::uint64_t serial = 0;
@@ -263,28 +251,16 @@ class FreeProfile {
     ProcCount q = 0;
     Time p = 0;
     bool accepted = false;
-    StepProfile::Undo undo;
   };
 
-  // Pops the top frame (rolling the profile back unless `keep`), recycling
-  // its undo buffer.
+  // Pops the top frame, adding its allocation back unless `keep`.
   void resolve_top(bool keep);
-  // Opens a recorded frame for a validated allocation; shared by
+  // Subtracts a validated allocation and pushes its frame; shared by
   // commit_tentative and the retain-mode permanent commits.
   void push_frame(Time t, ProcCount q, Time p, bool accepted);
 
   StepProfile profile_;
   std::vector<OpenCommit> open_;
-  // Retired frames, kept whole (undo buffer included) so probe loops and
-  // plan/rewind cycles stop allocating once warm. Capped adaptively at
-  // max(kMinPoolFrames, peak open-stack depth): a full rewind of the
-  // deepest plan this profile has ever carried can recycle every frame,
-  // while a shallow prober never hoards more than a handful.
-  std::vector<OpenCommit> frame_pool_;
-  // High-water mark of open_.size(); sets the pool cap.
-  std::size_t open_high_water_ = 0;
-  // push_frame pool misses (see frame_misses()).
-  std::uint64_t frame_misses_ = 0;
   std::uint64_t next_serial_ = 0;
   // Count of non-rewindable mutations (adjust_capacity, non-retained
   // commits, compact_history); rewind_to refuses to cross one.

@@ -5,23 +5,22 @@
 // an array of {start, value} pairs:
 //
 //  * SoA -- the profile hot paths are asymmetric: binary searches
-//    (index_of, rollback's lower_bound) touch only starts, while the
-//    windowed queries' linear scans stream mostly values. Splitting the
-//    arrays halves the cache traffic of both.
+//    (index_of) touch only starts, while the windowed queries' linear
+//    scans stream mostly values. Splitting the arrays halves the cache
+//    traffic of both.
 //  * SBO -- profiles of up to kInlineSegments segments live entirely inside
 //    the object: the thousands of short-lived profiles churn repair and
 //    backfill probes create never touch the heap. The inline capacity was
-//    picked by instrumentation (see BUILDING.md "Memory subsystem"): the
-//    service workloads' undo records are nearly always <= 6 segments, while
-//    persistent profiles spill immediately regardless of N -- so N covers
-//    the undo/probe population without bloating every profile.
+//    picked by instrumentation (see BUILDING.md "Memory subsystem");
+//    persistent profiles spill immediately regardless of N, so N keeps
+//    small profiles off the heap without bloating every profile.
 //  * Two-ended -- the live slots are [front, front + size) of a block of
 //    `capacity()` slots, with free slots on both sides. Every edit (insert,
-//    erase, replace_range, push_back) turns a range [lo, hi) into n slots
-//    by shifting whichever side of it is shorter: the lo slots before it
-//    or the size - hi slots after it (the left side must be shorter by
-//    more than kShiftBias slots, so small stores shift like a one-ended
-//    array and their memmove direction stays predictable). Event-loop
+//    erase, push_back) turns a range [lo, hi) into n slots by shifting
+//    whichever side of it is shorter: the lo slots before it or the
+//    size - hi slots after it (the left side must be shorter by more than
+//    kShiftBias slots, so small stores shift like a one-ended array and
+//    their memmove direction stays predictable). Event-loop
 //    schedulers commit at their clock, near the front of the profile, so
 //    a split there moves a handful of slots instead of the whole live
 //    tail, and compact_before's prefix erase is O(1) (it only advances
@@ -172,25 +171,10 @@ class SegStore {
     size_ = n;
   }
 
-  // Splices src (all of it) over this store's [lo, hi): at most one shift
-  // of the shorter side plus one copy per array. The rollback primitive.
-  void replace_range(std::size_t lo, std::size_t hi, const SegStore& src) {
-    const std::size_t n = src.size_;
-    resize_range(lo, hi, n);
-    std::memcpy(times_ + lo, src.times_, n * sizeof(Time));
-    std::memcpy(values_ + lo, src.values_, n * sizeof(std::int64_t));
-  }
-
   // First index whose start is > t (== std::upper_bound on the starts).
   [[nodiscard]] std::size_t upper_bound_start(Time t) const noexcept {
     return static_cast<std::size_t>(
         std::upper_bound(times_, times_ + size_, t) - times_);
-  }
-
-  // First index whose start is >= t (== std::lower_bound on the starts).
-  [[nodiscard]] std::size_t lower_bound_start(Time t) const noexcept {
-    return static_cast<std::size_t>(
-        std::lower_bound(times_, times_ + size_, t) - times_);
   }
 
   // Heap blocks this store has allocated (diagnostic: copies start at zero,
@@ -199,8 +183,8 @@ class SegStore {
 
   // Live slots this store's edits have moved (diagnostic, same copy/move
   // semantics as alloc_count): shifted sides, plus the whole contents on
-  // every re-centre or reallocation. Copying new content in (assign_range,
-  // replace_range's source) is not a move.
+  // every re-centre or reallocation. Copying new content in (assign_range)
+  // is not a move.
   [[nodiscard]] std::uint64_t moved_slots() const noexcept { return moved_; }
 
   friend bool operator==(const SegStore& a, const SegStore& b) noexcept {

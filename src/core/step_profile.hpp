@@ -16,10 +16,10 @@
 // searches on a contiguous start array and the scan-heavy value walks on a
 // contiguous value array; profiles of up to SegStore::kInlineSegments
 // segments never touch the heap. The store keeps free slots at both ends
-// of its block, and every split, coalesce or rollback splice shifts only
-// the shorter side of its edit point: an add near the profile's front (a
-// scheduler committing at its clock) or its back moves a few slots, not
-// the whole tail; the worst case, an add in the middle, moves half.
+// of its block, and every split or coalesce shifts only the shorter side
+// of its edit point: an add near the profile's front (a scheduler
+// committing at its clock) or its back moves a few slots, not the whole
+// tail; the worst case, an add in the middle, moves half.
 //
 // Windowed queries (min_in / max_in / first_below / first_at_least) are the
 // schedulers' per-placement hot path. Each is one binary search for the
@@ -37,24 +37,12 @@
 // segment's checked addition before the first structural change, so an
 // overflowing add throws with the profile (and its canonical form) intact.
 //
-// Transactional mutation (undo log): add_recorded() performs an add and
-// fills an opaque Undo record with the touched region -- the segments that
-// existed over [window, to] before the add. rollback() then restores the
-// region with a single splice in O(touched), *without* re-running add's
-// probe/split/coalesce machinery, and verifies against a replay of the
-// recorded add that it really is reversing that mutation (a stale or
-// out-of-order rollback trips RESCHED_CHECK instead of silently corrupting
-// the function). A tentative probe sequence (add_recorded -> queries ->
-// rollback) therefore leaves the profile bit-identical -- branch-and-bound's
-// place/backtrack loops and the service's plan/rewind cycles rely on it.
-// Undo records unwind newest-first (strict nesting, the shape backtracking
-// search and plan rewinds produce). Records whose *checked state* -- the
-// closed region [window_lo, to] plus the value of the step immediately left
-// of it -- was not touched by any still-live later mutation may also unwind
-// out of order; anything else trips the rollback check. Note the checked
-// state is slightly wider than the mutation window [from, to): a later add
-// that merely coalesces across this record's region boundary, or shifts the
-// region's trailing piece at `to`, blocks this record until it unwinds.
+// Reverting an add: add(from, to, -delta) exactly reverts add(from, to,
+// delta). Range additions commute, so the function becomes the one the
+// profile would hold without the pair, and canonical form makes the segments
+// bit-identical to a profile that never saw it. FreeProfile's plan frames
+// revert their commits this way (profile_allocator.hpp); the profile keeps
+// no undo state.
 #pragma once
 
 #include <cstddef>
@@ -97,52 +85,6 @@ class StepProfile {
   // unchanged when any affected segment's value would overflow.
   void add(Time from, Time to, std::int64_t delta);
 
-  // Opaque undo record for one recorded add (see the transactional-mutation
-  // notes in the header comment). Default-constructed records are dead;
-  // add_recorded arms them, rollback (or a fresh add_recorded) spends them.
-  // Copy/move keep the usual value semantics; destroying a live record
-  // simply makes its mutation permanent.
-  class Undo {
-   public:
-    Undo() = default;
-    [[nodiscard]] bool live() const noexcept { return live_; }
-
-   private:
-    friend class StepProfile;
-    Time from_ = 0;
-    Time to_ = 0;
-    std::int64_t delta_ = 0;
-    Time window_lo_ = 0;          // start of the segment containing from_
-    // Value of the step left of window_lo_ at record time (valid iff
-    // window_lo_ > 0). Anchors the coalesce replay in rollback(): if a
-    // later mutation changed it, the rollback trips instead of splicing a
-    // non-canonical (or wrong) region back.
-    std::int64_t left_value_ = 0;
-    bool live_ = false;
-    // The steps that covered [window_lo_, to_] before the add -- everything
-    // the add could touch. The post-state is not stored: rollback replays
-    // the add's transformation of these few steps to verify it is reversing
-    // the right mutation, which keeps the recording cost on the (hot,
-    // usually accepted) commit path to one small copy. A SegStore: undo
-    // windows are nearly always a handful of segments, so the record stays
-    // entirely inline (no heap traffic on the probe path).
-    SegStore steps_;
-  };
-
-  // add() that additionally fills `undo` so rollback() can revert it in
-  // O(touched). Reuses undo's buffer capacity, so a caller cycling one
-  // record through a probe loop allocates only on its first (or widest)
-  // commit. Same strong exception guarantee as add(): on overflow, throws
-  // with the profile unchanged and `undo` left dead.
-  void add_recorded(Time from, Time to, std::int64_t delta, Undo& undo);
-
-  // Reverts the recorded add: splices the prior segments back (O(touched)
-  // plus the shorter side's shift), after RESCHED_CHECK-ing that the current
-  // region still matches the recorded post-state -- reversing anything
-  // other than the newest overlapping mutation is a caller bug, surfaced
-  // loudly instead of corrupting the function.
-  void rollback(Undo& undo);
-
   // Always 0: the profile keeps no query index to build. Kept only so that
   // existing counter readers (perfbench's core.index_builds) still compile.
   [[nodiscard]] static constexpr std::uint64_t index_build_count() noexcept {
@@ -166,7 +108,7 @@ class StepProfile {
   }
 
   // Monotone mutation version: incremented by every successful state change
-  // (add, add_recorded, rollback, compact_before, copy assignment). The O(1)
+  // (add, compact_before, copy assignment). The O(1)
   // checkpoint primitive of the incremental-replan layer: two equal versions
   // of one live object guarantee no mutation happened in between, so a
   // caller holding a version can tell whether its derived state (plans,
@@ -256,8 +198,6 @@ class StepProfile {
   // Erases the step at position i if it duplicates its left neighbour's
   // value.
   void coalesce_at(std::size_t i);
-  // Shared body of add()/add_recorded(); undo == nullptr means unrecorded.
-  void add_impl(Time from, Time to, std::int64_t delta, Undo* undo);
 };
 
 }  // namespace resched

@@ -125,10 +125,10 @@ void dfs(SearchState& state) {
     const Time completion = checked_add(start, job.p);
     if (completion >= state.best) continue;  // placing it can't improve
 
-    // Tentative commit: the undo token reverts the placement in O(touched)
-    // on backtrack, without the split/coalesce re-run (and silent-mismatch
-    // risk) of the old blind uncommit. Tokens nest with the DFS, so the LIFO
-    // discipline holds by construction.
+    // Tentative commit: on backtrack the token reverts the placement by its
+    // exact inverse add, and only while it is the newest open commit -- no
+    // blind uncommit can add back capacity that was never taken. Tokens nest
+    // with the DFS, so the LIFO discipline holds by construction.
     FreeProfile::CommitToken token =
         state.free.commit_tentative(start, job.q, job.p);
     state.placed[static_cast<std::size_t>(id)] = true;

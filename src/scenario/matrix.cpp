@@ -166,7 +166,6 @@ ScenarioMatrixResult run_scenario_matrix(const std::vector<ScenarioSpec>& specs,
     campaign.schedulers = names;
     campaign.tau = config.tau;
     campaign.validate = config.validate;
-    campaign.share_instances = config.share_instances;
     campaign.check_guarantees = true;
     campaign.guarantee_exact_n = config.guarantee_exact_n;
 

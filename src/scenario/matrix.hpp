@@ -95,7 +95,6 @@ struct ScenarioMatrixConfig {
   std::size_t guarantee_exact_n = 9;
   Time tau = 10;
   bool validate = true;
-  bool share_instances = true;
 };
 
 enum class CellVerdict { kHeld, kViolated, kOutOfDomain, kInconclusive };

@@ -95,24 +95,20 @@ CampaignResult run_campaign(const InstanceGenerator& generator,
     for (std::uint64_t& seed : seeds) seed = master.fork_seed();
   }
 
-  // share_instances: one generator run per index instead of one per task.
-  // No pregeneration barrier: the first task to touch index i generates it
-  // under that instance's once_flag while workers on other indices keep
-  // scheduling, so generation overlaps the task phase instead of
-  // serializing ahead of it. Later tasks on i read the one built instance
-  // const-shared: StepProfile's const queries keep no cached state.
-  // call_once's "turns" semantics also keep a throwing generator exact:
-  // the flag stays unset and the exception aborts the campaign as before.
+  // One generator run per index, not one per task. No pregeneration
+  // barrier: the first task to touch index i generates it under that
+  // instance's once_flag while workers on other indices keep scheduling,
+  // so generation overlaps the task phase instead of serializing ahead of
+  // it. Later tasks on i read the one built instance const-shared:
+  // StepProfile's const queries keep no cached state. call_once's "turns"
+  // semantics also keep a throwing generator exact: the flag stays unset
+  // and the exception aborts the campaign.
   // Determinism is untouched -- the instance is a pure function of
   // (i, seeds[i]) no matter which worker builds it.
-  std::vector<Instance> shared;
-  std::deque<std::once_flag> shared_once;
-  if (config.share_instances) {
-    shared.resize(config.instances);
-    // deque: once_flag is immovable, and the container never resizes after
-    // this point.
-    shared_once.resize(config.instances);
-  }
+  std::vector<Instance> shared(config.instances);
+  // deque: once_flag is immovable, and the container never resizes after
+  // this point.
+  std::deque<std::once_flag> shared_once(config.instances);
   const auto shared_instance = [&](std::size_t i) -> const Instance& {
     std::call_once(shared_once[i],
                    [&] { shared[i] = generator(i, seeds[i]); });
@@ -132,14 +128,7 @@ CampaignResult run_campaign(const InstanceGenerator& generator,
       [&](std::size_t task) {
         const std::size_t i = task / names.size();
         const std::size_t s = task % names.size();
-        // Share mode reads (generating on first touch) the per-index
-        // instance; regenerate mode builds its own, whose lifetime must
-        // span the whole task.
-        std::optional<Instance> regenerated;
-        const Instance& instance =
-            config.share_instances
-                ? shared_instance(i)
-                : regenerated.emplace(generator(i, seeds[i]));
+        const Instance& instance = shared_instance(i);
         TaskResult& slot = results[i][s];
         const auto scheduler = make_scheduler(names[s]);
         // resched-lint: determinism-audited(wall-latency telemetry only; never feeds schedules)

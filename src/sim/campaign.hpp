@@ -8,24 +8,20 @@
 // scheduler (local-search) with cheap ones load-balances at scheduler
 // granularity instead of serializing the tail behind one worker's whole
 // instance. Determinism contract: the result is a pure function of
-// (generator, config) -- never of the thread count, of scheduling order, or
-// of the instance-sharing mode. This holds because
+// (generator, config) -- never of the thread count or of scheduling order.
+// This holds because
 //   * each instance index gets its own PRNG seed, derived sequentially from
 //     the master seed before any thread starts;
-//   * an (instance, scheduler) task either regenerates its instance from
-//     that per-index seed (share_instances = false) or reads the one
-//     instance generated for its index (share_instances = true); both modes
-//     hand the scheduler the same bits, so the aggregates are identical;
+//   * each instance is generated once, from that per-index seed, by the
+//     first task to touch it, and every (instance, scheduler) task reads
+//     that one instance, so no worker ever sees different bits;
 //   * per-task metrics land in a preallocated (instance, scheduler) slot
 //     written by exactly one worker, and aggregation runs single-threaded
 //     afterwards in (scheduler, instance) order.
 //
 // Sharing is safe because every read of a generated instance is const, and
 // no const query underneath it caches anything (StepProfile's windowed
-// queries are plain scans of its segment arrays). Regeneration is kept as
-// the default only because it is the seed behavior; share_instances skips
-// instances-x-schedulers redundant generator runs and is the mode to use
-// at production scale.
+// queries are plain scans of its segment arrays).
 //
 // Domain handling: schedulers report out-of-domain instances through the
 // typed DomainError arm of ScheduleOutcome, which the runner counts per
@@ -35,8 +31,8 @@
 // precondition is a bug to surface, not a skip to tally.
 //
 // Wall-clock timings are recorded per scheduler but excluded from
-// to_table(false), which the determinism test compares across thread counts
-// and sharing modes.
+// to_table(false), which the determinism test compares across thread
+// counts.
 #pragma once
 
 #include <array>
@@ -72,12 +68,6 @@ struct CampaignConfig {
   // Re-validate every schedule against the instance (differential oracle for
   // the scheduler + profile stack); throws on the first violation.
   bool validate = true;
-  // true: generate each instance once -- on first touch, under a
-  // per-instance std::call_once, so generation overlaps the task phase
-  // instead of running behind a pregeneration barrier -- and let every
-  // scheduler task read it shared; false: regenerate per task (seed
-  // behavior). Aggregates are bit-identical either way.
-  bool share_instances = false;
   // Run bounds/check_guarantee on every produced schedule and tally the
   // compliance verdicts per scheduler (the scenario-matrix survival
   // report). Off by default: it costs a makespan_lower_bound per task.

@@ -1,7 +1,7 @@
 // Memory-subsystem tests: the decision arena (scope reset, marker rewind,
 // alignment, chunk reuse), the arena-aware allocator (heap fallback, copy
 // vs move semantics), the SoA/SBO segment store underneath StepProfile, and
-// the FreeProfile frame pool. The steady-state legs pin the PR's core
+// FreeProfile's frame stack. The steady-state legs pin the subsystem's core
 // claim -- a warm commit/rollback cycle performs zero heap allocations --
 // via the process-wide resched::alloc_count() counter (operator-new hook
 // plus the library's instrumented malloc sites).
@@ -142,29 +142,11 @@ TEST(SegStore, InsertEraseAndBounds) {
   EXPECT_EQ(store.start(1), 5);
   EXPECT_EQ(store.value(1), 4);
   EXPECT_EQ(store.upper_bound_start(5), 2u);
-  EXPECT_EQ(store.lower_bound_start(5), 1u);
   store.erase(1);
   EXPECT_EQ(store.start(1), 10);
   store.erase(0, 2);  // drop [0, 2): only t=20 remains
   ASSERT_EQ(store.size(), 1u);
   EXPECT_EQ(store.start(0), 20);
-}
-
-TEST(SegStore, ReplaceRangeSplicesLikeEraseInsert) {
-  SegStore store;
-  for (Time t = 0; t < 10; ++t)
-    store.push_back(t * 10, static_cast<std::int64_t>(t));
-  SegStore patch;
-  patch.push_back(25, 100);
-  patch.push_back(26, 101);
-  patch.push_back(27, 102);
-  // Replace segments [2, 5) with the 3-segment patch.
-  store.replace_range(2, 5, patch);
-  ASSERT_EQ(store.size(), 10u);
-  EXPECT_EQ(store.start(2), 25);
-  EXPECT_EQ(store.value(4), 102);
-  EXPECT_EQ(store.start(5), 50);  // suffix intact
-  EXPECT_EQ(store.value(9), 9);
 }
 
 TEST(SegStore, CopyAndMoveSemantics) {
@@ -180,12 +162,12 @@ TEST(SegStore, CopyAndMoveSemantics) {
   EXPECT_FALSE(moved == copy) << "copy must be deep";
 }
 
-// ---- FreeProfile frame pool ------------------------------------------------
+// ---- FreeProfile frame stack -----------------------------------------------
 
 TEST(FramePool, SteadyStateCommitRollbackIsAllocationFree) {
   FreeProfile free{StepProfile(64)};
-  // Warm-up: grow the profile store, the frame pool and every undo buffer
-  // to its high-water capacity.
+  // Warm-up: grow the profile store and the frame stack to their
+  // high-water capacity.
   for (int cycle = 0; cycle < 4; ++cycle) {
     std::vector<FreeProfile::CommitToken> tokens;
     for (Time t = 0; t < 16; ++t)
@@ -198,7 +180,6 @@ TEST(FramePool, SteadyStateCommitRollbackIsAllocationFree) {
   std::vector<FreeProfile::CommitToken> tokens;
   tokens.reserve(16);  // the probe's own buffer must not pollute the count
   const std::uint64_t warm = alloc_count();
-  const std::uint64_t warm_misses = free.frame_misses();
   for (int cycle = 0; cycle < 100; ++cycle) {
     for (Time t = 0; t < 16; ++t)
       tokens.push_back(free.commit_tentative(t * 3, 2, 5));
@@ -207,16 +188,14 @@ TEST(FramePool, SteadyStateCommitRollbackIsAllocationFree) {
       tokens.pop_back();
     }
   }
-  EXPECT_EQ(free.frame_misses(), warm_misses)
-      << "warm frame pool must recycle every frame";
   EXPECT_EQ(alloc_count(), warm)
       << "steady-state commit/rollback must be zero-allocation";
 }
 
 TEST(FramePool, RecyclesAcrossCommitRollbackInterleavings) {
   FreeProfile free{StepProfile(32)};
-  // Interleave accepts and rollbacks so recycled frames carry undos from
-  // both resolutions; the profile must stay consistent throughout.
+  // Interleave nested commits and rollbacks at shifting offsets; the
+  // profile must stay consistent throughout.
   for (int round = 0; round < 50; ++round) {
     FreeProfile::CommitToken a = free.commit_tentative(round * 7, 4, 10);
     FreeProfile::CommitToken b =
@@ -231,17 +210,6 @@ TEST(FramePool, RecyclesAcrossCommitRollbackInterleavings) {
   // Fully rolled back: the profile is flat free capacity again.
   EXPECT_EQ(free.profile().min_in(0, 1000), 32);
   EXPECT_EQ(free.profile().max_in(0, 1000), 32);
-}
-
-TEST(FramePool, AllocCountDiagnosticCombinesProfileAndMisses) {
-  FreeProfile free{StepProfile(16)};
-  EXPECT_EQ(free.alloc_count(), free.profile().alloc_count() +
-                                    free.frame_misses());
-  FreeProfile::CommitToken t = free.commit_tentative(0, 4, 4);
-  free.accept(std::move(t));
-  EXPECT_GE(free.frame_misses(), 1u) << "cold pool counts its misses";
-  EXPECT_EQ(free.alloc_count(), free.profile().alloc_count() +
-                                    free.frame_misses());
 }
 
 }  // namespace

@@ -67,8 +67,20 @@ TEST(CampaignRunner, SameSeedAnyThreadCountSameAggregatedMetrics) {
   config.instances = 10;
   config.seed = 31337;
   config.schedulers = {"lsrc", "conservative", "easy", "fcfs"};
-  const InstanceGenerator generator = [](std::size_t, std::uint64_t seed) {
+  // Each instance is generated once -- on first touch, under a per-index
+  // std::call_once -- however many scheduler tasks race to it.
+  std::array<std::atomic<int>, 10> generated{};
+  const InstanceGenerator generator = [&generated](std::size_t index,
+                                                   std::uint64_t seed) {
+    generated[index].fetch_add(1, std::memory_order_relaxed);
     return sweep_instance(seed, true);
+  };
+  const auto expect_generated_once = [&generated](std::size_t threads) {
+    for (std::size_t i = 0; i < generated.size(); ++i) {
+      EXPECT_EQ(generated[i].exchange(0), 1)
+          << "instance " << i << " generated more than once (threads="
+          << threads << ")";
+    }
   };
 
   config.threads = 1;
@@ -76,12 +88,14 @@ TEST(CampaignRunner, SameSeedAnyThreadCountSameAggregatedMetrics) {
   EXPECT_EQ(baseline.cells.size(), 4u);
   EXPECT_EQ(baseline.cells.front().scheduled, 10u);
   EXPECT_GT(baseline.cells.front().makespan.mean(), 0.0);
+  expect_generated_once(1);
 
   for (const std::size_t threads : {2u, 3u, 8u, 16u}) {
     config.threads = threads;
     const CampaignResult run = run_campaign(generator, config);
     ASSERT_NO_FATAL_FAILURE(ExpectBitIdentical(baseline, run))
         << "threads=" << threads;
+    expect_generated_once(threads);
   }
 
   // And a different seed genuinely changes the data (the test has teeth).
@@ -124,49 +138,12 @@ TEST(CampaignRunner, OutOfDomainSchedulersAreCountedAsSkipped) {
   EXPECT_EQ(open_result.cells[0].scheduled, 4u);
 }
 
-TEST(CampaignRunner, SharedInstancesMatchRegeneratedBitForBit) {
-  // share_instances generates each instance once -- on first touch, under
-  // a per-instance std::call_once that overlaps generation with the task
-  // phase (no pregeneration barrier) -- and every scheduler task reads it
-  // concurrently; the aggregated result must be bit-identical to the
-  // regenerate mode for every thread count, and the generator must run
-  // exactly once per index regardless of how many tasks race to it.
-  CampaignConfig config;
-  config.instances = 8;
-  config.seed = 777;
-  config.schedulers = {"lsrc", "conservative", "easy", "fcfs", "shelf-ff"};
-  std::array<std::atomic<int>, 8> generated{};
-  const InstanceGenerator generator = [&generated](std::size_t index,
-                                                   std::uint64_t seed) {
-    generated[index].fetch_add(1, std::memory_order_relaxed);
-    return sweep_instance(seed, true);
-  };
-
-  config.share_instances = false;
-  config.threads = 1;
-  const CampaignResult baseline = run_campaign(generator, config);
-
-  config.share_instances = true;
-  for (const std::size_t threads : {1u, 2u, 8u, 16u}) {
-    for (auto& count : generated) count.store(0, std::memory_order_relaxed);
-    config.threads = threads;
-    const CampaignResult shared = run_campaign(generator, config);
-    ASSERT_NO_FATAL_FAILURE(ExpectBitIdentical(baseline, shared))
-        << "share_instances threads=" << threads;
-    for (std::size_t i = 0; i < generated.size(); ++i)
-      EXPECT_EQ(generated[i].load(), 1)
-          << "instance " << i << " generated more than once (threads="
-          << threads << ")";
-  }
-}
-
 TEST(CampaignRunner, SharedModeGeneratorExceptionsStillAbortTheCampaign) {
   // call_once's turns semantics must not swallow or double-run a throwing
-  // generator: the failure propagates and aborts, same as regenerate mode.
+  // generator: the failure propagates and aborts the campaign.
   CampaignConfig config;
   config.instances = 6;
   config.threads = 3;
-  config.share_instances = true;
   config.schedulers = {"fcfs"};
   const InstanceGenerator generator = [](std::size_t index, std::uint64_t) {
     if (index == 3) throw std::runtime_error("generator failure");

@@ -8,13 +8,19 @@
 // in every list/backfilling algorithm at once.
 //
 // Also checks that tentative commits unwind to the bit-identical profile,
-// which is what branch-and-bound backtracking assumes. Undo is LIFO by
-// contract (tokens resolve newest-first); both the token rollback and a
-// whole-stack rewind_to are exercised.
+// which is what branch-and-bound backtracking assumes. Frames are LIFO by
+// contract (tokens resolve newest-first, and resolving any other token
+// trips with the profile untouched); both the token rollback and a
+// whole-stack rewind_to are exercised, on random stacks and on scripted
+// ones: nested windows, windows reaching the last segment or +infinity,
+// and commits that coalesce across each other's edges.
 #include "core/profile_allocator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/step_profile.hpp"
@@ -77,7 +83,103 @@ TEST(FreeProfileLemma, EarliestFitReturnsT0OrCapacityIncreaseBreakpoint) {
   }
 }
 
+// Resolving any open token but the newest must trip before the profile or
+// the frame stack is touched; tries the oldest of two or more.
+void ExpectOutOfOrderTrips(FreeProfile& free,
+                           std::vector<FreeProfile::CommitToken>& placed) {
+  if (placed.size() < 2) return;
+  const StepProfile before = free.profile();
+  EXPECT_THROW(free.rollback(std::move(placed.front())), std::logic_error);
+  EXPECT_THROW(free.accept(std::move(placed.front())), std::logic_error);
+  ASSERT_TRUE(placed.front().live()) << "a tripped resolution spent it";
+  ASSERT_EQ(free.open_commits(), placed.size());
+  ASSERT_EQ(free.profile(), before) << "a tripped resolution mutated";
+}
+
+// Unwinds every open commit (token by token, newest first, or with one
+// rewind_to) and checks the profile against its never-touched twin.
+void UnwindAndCheck(FreeProfile& free,
+                    std::vector<FreeProfile::CommitToken>& placed,
+                    const FreeProfile::Checkpoint& before, bool by_tokens,
+                    const StepProfile& twin) {
+  ASSERT_EQ(free.open_commits(), placed.size());
+  if (by_tokens) {
+    while (!placed.empty()) {
+      ASSERT_NO_FATAL_FAILURE(ExpectOutOfOrderTrips(free, placed));
+      free.rollback(std::move(placed.back()));
+      placed.pop_back();
+    }
+  } else {
+    ASSERT_NO_FATAL_FAILURE(ExpectOutOfOrderTrips(free, placed));
+    free.rewind_to(before);
+    placed.clear();
+  }
+  ASSERT_EQ(free.open_commits(), 0u);
+  ASSERT_EQ(free.profile(), twin) << "tentative commits did not round-trip";
+}
+
 TEST(FreeProfileLemma, TentativeCommitsUnwindToIdenticalProfile) {
+  // Scripted stacks: a capacity profile and its commits (t, q, p) in
+  // order, each fitting where it lands.
+  struct Script {
+    StepProfile capacity;
+    std::vector<std::array<Time, 3>> commits;
+  };
+  std::vector<Script> scripts;
+  {
+    // Two disjoint commits, then two overlapping ones, on a fragmented
+    // profile; the last two windows reach its last segment (the final
+    // breakpoint is at 1995) and +infinity.
+    StepProfile fragmented(10);
+    for (Time t = 0; t < 2000; t += 10) fragmented.add(t, t + 5, (t / 10) % 4);
+    scripts.push_back({fragmented,
+                       {{100, 3, 100},
+                        {1000, 2, 100},
+                        {100, 1, 200},
+                        {250, 1, 150},
+                        {1990, 1, 50},
+                        {1500, 2, kTimeInfinity - 1500}}});
+  }
+  {
+    // The newer commit's right edge coalesces across the older one's
+    // left region boundary: {0:5},{50:9},{100:7}, commit [150, 200),
+    // then [50, 100) turns 9 into 7.
+    StepProfile capacity(5);
+    capacity.add(50, kTimeInfinity, 4);
+    capacity.add(100, kTimeInfinity, -2);
+    scripts.push_back({capacity, {{150, 2, 50}, {50, 2, 50}}});
+  }
+  // The newer commit starts exactly at the older one's right edge.
+  scripts.push_back({StepProfile(9), {{150, 2, 50}, {200, 1, 100}}});
+  {
+    // The newer commit ends at the older one's start and lowers the left
+    // neighbour to the older window's original value.
+    StepProfile capacity(5);
+    capacity.add(100, kTimeInfinity, -2);  // {0:5},{100:3}
+    scripts.push_back({capacity, {{100, 1, 100}, {0, 2, 100}}});
+  }
+  // Nested windows, the innermost reaching +infinity.
+  scripts.push_back({StepProfile(8),
+                     {{10, 1, 100},
+                      {20, 2, 50},
+                      {30, 1, 10},
+                      {30, 1, kTimeInfinity - 30}}});
+  for (std::size_t k = 0; k < scripts.size(); ++k) {
+    for (const bool by_tokens : {true, false}) {
+      const Script& script = scripts[k];
+      FreeProfile free(script.capacity);
+      const FreeProfile::Checkpoint before = free.checkpoint();
+      std::vector<FreeProfile::CommitToken> placed;
+      for (const auto& [t, q, p] : script.commits) {
+        ASSERT_TRUE(free.fits_at(t, q, p)) << "script " << k;
+        placed.push_back(free.commit_tentative(t, q, p));
+      }
+      ASSERT_NO_FATAL_FAILURE(
+          UnwindAndCheck(free, placed, before, by_tokens, script.capacity))
+          << "script " << k;
+    }
+  }
+
   Prng prng(9091);
   for (int round = 0; round < 120; ++round) {
     const ProcCount m = prng.uniform_int(2, 8);
@@ -101,19 +203,9 @@ TEST(FreeProfileLemma, TentativeCommitsUnwindToIdenticalProfile) {
     }
     ASSERT_GE(free.profile().min_value(), 0)
         << "commit drove free capacity negative";
-    ASSERT_EQ(free.open_commits(), placed.size());
-
-    if (prng.chance(0.5)) {
-      while (!placed.empty()) {
-        free.rollback(std::move(placed.back()));
-        placed.pop_back();
-      }
-    } else {
-      free.rewind_to(before);
-    }
-    ASSERT_EQ(free.open_commits(), 0u);
-    ASSERT_EQ(free.profile(), snapshot)
-        << "tentative commits did not round-trip";
+    ASSERT_NO_FATAL_FAILURE(UnwindAndCheck(free, placed, before,
+                                           prng.chance(0.5), snapshot))
+        << "round " << round;
   }
 }
 

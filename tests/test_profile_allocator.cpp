@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
+#include <vector>
 
 #include "core/availability.hpp"
 #include "util/prng.hpp"
@@ -154,7 +157,7 @@ TEST(FreeProfile, CommitRequiresFit) {
 }
 
 TEST(FreeProfile, TentativeProbeLoopLeavesTheProfileBitIdentical) {
-  // The acceptance criterion of the undo log: a tentative probe sequence
+  // The acceptance criterion of plan frames: a tentative probe sequence
   // (commit -> wide windowed probe -> rollback) on a warm ~4k-segment
   // profile restores the profile bit for bit and never touches the heap.
   StepProfile capacity(64);
@@ -309,6 +312,34 @@ TEST(FreeProfileVersioned, AcceptedFramesRefuseTokenRollback) {
   EXPECT_EQ(free.profile(), StepProfile(4));
 }
 
+TEST(FreeProfileVersioned, OverflowingCommitLeavesStackSegmentsAndRewind) {
+  // A frame is pushed only after its add succeeds: a commit whose t + p
+  // overflows throws with the frame stack, the segments and the rewind of
+  // an earlier checkpoint all unchanged.
+  constexpr Time kLate = std::numeric_limits<Time>::max() - 5;
+  FreeProfile free{StepProfile(8)};
+  free.set_retain_accepted(true);
+  const FreeProfile::Checkpoint before = free.checkpoint();
+  free.commit_fitted(0, 3, 10);
+  const FreeProfile::Checkpoint mid = free.checkpoint();
+  const StepProfile at_mid = free.profile();
+  FreeProfile::CommitToken open = free.commit_tentative(5, 2, 10);
+  const StepProfile segments = free.profile();
+  EXPECT_THROW((void)free.commit_tentative(kLate, 1, 10), std::overflow_error);
+  EXPECT_THROW(free.commit_fitted(kLate, 1, 10), std::overflow_error);
+  EXPECT_EQ(free.open_commits(), 2u);
+  EXPECT_EQ(free.profile(), segments);
+  // The open token is still the newest frame, and both checkpoints still
+  // rewind to their exact state.
+  free.rollback(std::move(open));
+  free.rewind_to(mid);
+  EXPECT_EQ(free.open_commits(), 1u);
+  EXPECT_EQ(free.profile(), at_mid);
+  free.rewind_to(before);
+  EXPECT_EQ(free.open_commits(), 0u);
+  EXPECT_EQ(free.profile(), StepProfile(8));
+}
+
 TEST(FreeProfileVersioned, ToggleRetainRequiresEmptyStack) {
   FreeProfile free{StepProfile(4)};
   FreeProfile::CommitToken token = free.commit_tentative(0, 1, 1);
@@ -367,59 +398,138 @@ TEST(FreeProfileVersioned, CompactHistoryPreservesTheLiveSuffix) {
 
 // Differential twin fuzz: a long random interleaving of plan frames,
 // checkpoints, rewinds and permanent mutations stays bit-identical to a
-// naive twin that re-derives the profile from the surviving operations.
+// twin that re-derives the profile from the surviving operations. Odd
+// rounds start from a fragmented profile of hundreds of segments. Commits
+// nest inside the newest frame's window, abut its edges (equal values then
+// coalesce across them) or reach the profile's last segment or +infinity;
+// a tentative pair checks that resolving the older token first trips with
+// nothing changed. Every rewind compares the segments bit for bit, and
+// every full unwind compares them with a twin that never saw a frame.
 TEST(FreeProfileVersioned, CheckpointRewindTwinFuzz) {
+  constexpr Time kWide = 4096;
   Prng prng(777);
   for (int round = 0; round < 20; ++round) {
-    FreeProfile free{StepProfile(32)};
+    const bool wide = round % 2 == 1;
+    // The base profile plus the permanent mutations; never sees a frame.
+    StepProfile untouched(32);
+    if (wide) {
+      for (int i = 0; i < 500; ++i) {
+        const Time a = prng.uniform_int(0, kWide - 2);
+        const Time b = a + prng.uniform_int(1, 24);
+        const std::int64_t delta = prng.uniform_int(-2, 3);
+        if (untouched.min_in(a, b) + delta >= 0) untouched.add(a, b, delta);
+      }
+      ASSERT_GT(untouched.segment_count(), 256u);
+    }
+    const Time horizon = wide ? kWide : 400;
+    // Past every breakpoint the fragmenting adds and the random commits
+    // can make.
+    const Time past_last = horizon + 64;
+    FreeProfile free{untouched};
     free.set_retain_accepted(true);
-    // The twin records every operation that is still in effect.
+    // The twin records every frame that is still in effect.
     struct Op {
       Time from = 0, to = 0;
       std::int64_t delta = 0;
     };
-    std::vector<Op> permanent;
     std::vector<Op> frames;
     struct Mark {
       FreeProfile::Checkpoint cp;
       std::size_t frame_count = 0;
     };
     std::vector<Mark> marks;
+    // Depth-0 checkpoint, retaken after every permanent mutation.
+    FreeProfile::Checkpoint base = free.checkpoint();
+    const auto expect_twin = [&](int step) {
+      StepProfile twin = untouched;
+      for (const Op& op : frames) twin.add(op.from, op.to, op.delta);
+      ASSERT_EQ(free.profile(), twin) << "round " << round << " step " << step;
+      if (frames.empty()) {
+        ASSERT_EQ(free.profile(), untouched)
+            << "round " << round << " step " << step;
+      }
+    };
+    const auto try_commit = [&](Time t, ProcCount q, Time p) {
+      if (t < 0 || p <= 0 || !free.fits_at(t, q, p)) return;
+      free.commit_fitted(t, q, p);
+      frames.push_back(Op{t, t + p, -static_cast<std::int64_t>(q)});
+    };
 
-    for (int step = 0; step < 120; ++step) {
-      const int roll = static_cast<int>(prng.uniform_int(0, 9));
-      const Time t = prng.uniform_int(0, 400);
+    for (int step = 0; step < 160; ++step) {
+      const int roll = static_cast<int>(prng.uniform_int(0, 11));
+      const Time t = prng.uniform_int(0, horizon);
       const ProcCount q = prng.uniform_int(1, 8);
       const Time p = prng.uniform_int(1, 40);
-      if (roll < 4) {
+      if (roll < 3) {
+        try_commit(t, q, p);
+      } else if (roll == 3 && !frames.empty()) {
+        // Nested inside the newest frame's window.
+        const Op& outer = frames.back();
+        const Time end = std::min(outer.to, outer.from + 200);
+        const Time inner = prng.uniform_int(outer.from, end - 1);
+        try_commit(inner, q, prng.uniform_int(1, end - inner));
+      } else if (roll == 4 && !frames.empty()) {
+        // Abutting the newest frame's left or right edge, same width.
+        const Op outer = frames.back();
+        const auto width = static_cast<ProcCount>(-outer.delta);
+        if (prng.chance(0.5) && outer.to < kTimeInfinity)
+          try_commit(outer.to, width, p);
+        else
+          try_commit(outer.from - p, width, p);
+      } else if (roll == 5) {
+        // Reaching the last segment, or +infinity.
+        const ProcCount narrow = prng.uniform_int(1, 2);
+        try_commit(t, narrow,
+                   prng.chance(0.5) ? kTimeInfinity - t : past_last - t);
+      } else if (roll == 6) {
+        // A tentative pair resolved out of order trips and changes nothing.
         if (!free.fits_at(t, q, p)) continue;
-        free.commit_fitted(t, q, p);
-        frames.push_back(Op{t, t + p, -static_cast<std::int64_t>(q)});
-      } else if (roll < 6) {
+        FreeProfile::CommitToken older = free.commit_tentative(t, q, p);
+        const Time inner = prng.uniform_int(t, t + p - 1);
+        const ProcCount q2 = prng.uniform_int(1, 4);
+        if (free.fits_at(inner, q2, 1)) {
+          FreeProfile::CommitToken newer = free.commit_tentative(inner, q2, 1);
+          const StepProfile before = free.profile();
+          const std::size_t open = free.open_commits();
+          EXPECT_THROW(free.rollback(std::move(older)), std::logic_error);
+          EXPECT_THROW(free.accept(std::move(older)), std::logic_error);
+          ASSERT_TRUE(older.live());
+          ASSERT_EQ(free.open_commits(), open);
+          ASSERT_EQ(free.profile(), before);
+          free.rollback(std::move(newer));
+        }
+        if (prng.chance(0.5)) {
+          free.accept(std::move(older));  // retained: a plan frame now
+          frames.push_back(Op{t, t + p, -static_cast<std::int64_t>(q)});
+        } else {
+          free.rollback(std::move(older));
+        }
+        ASSERT_NO_FATAL_FAILURE(expect_twin(step));
+      } else if (roll < 9) {
         marks.push_back(Mark{free.checkpoint(), frames.size()});
-      } else if (roll < 8 && !marks.empty()) {
+      } else if (roll < 11 && !marks.empty()) {
         const std::size_t pick = static_cast<std::size_t>(
             prng.uniform_int(0, static_cast<std::int64_t>(marks.size()) - 1));
         const Mark mark = marks[pick];
         free.rewind_to(mark.cp);
         frames.resize(mark.frame_count);
         marks.resize(pick + 1);
+        ASSERT_NO_FATAL_FAILURE(expect_twin(step));
       } else if (frames.empty()) {
         // Permanent mutations require an empty frame stack; only attempt
         // one between plans.
         if (free.profile().min_in(t, t + p) < q) continue;
         free.adjust_capacity(t, t + p, -static_cast<std::int64_t>(q));
-        permanent.push_back(Op{t, t + p, -static_cast<std::int64_t>(q)});
+        untouched.add(t, t + p, -static_cast<std::int64_t>(q));
         marks.clear();  // checkpoints cannot cross a permanent mutation
+        base = free.checkpoint();
       }
     }
 
-    StepProfile twin(32);
-    for (const Op& op : permanent) twin.add(op.from, op.to, op.delta);
-    for (const Op& op : frames) twin.add(op.from, op.to, op.delta);
-    for (Time t = 0; t <= 450; ++t)
-      ASSERT_EQ(free.capacity_at(t), twin.value_at(t))
-          << "round " << round << " t=" << t;
+    ASSERT_NO_FATAL_FAILURE(expect_twin(-1));
+    free.rewind_to(base);
+    frames.clear();
+    ASSERT_NO_FATAL_FAILURE(expect_twin(-2));
   }
 }
 

@@ -5,9 +5,7 @@
 // with hundreds to thousands of segments and queries windows spanning most
 // of them, against a naive dense-array model: long scans, unbounded
 // windows, long tails after a fragmented prefix, near-ceiling accumulation
-// targets and 128-bit integrals over wide windows. It also fuzzes the undo
-// log at that scale: nested recorded adds must roll back to a profile
-// bit-identical to a never-touched twin.
+// targets and 128-bit integrals over wide windows.
 //
 // Also re-asserts the candidate-start lemma of profile_allocator.hpp on
 // wide profiles, checks canonical form after every commit/rollback
@@ -383,7 +381,7 @@ TEST(PropWideProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
         live.push_back(Placed{t, q, p, free.commit_tentative(t, q, p)});
         model.add(t, t + p, -q);
       } else if (roll < 0.75 && !live.empty()) {
-        // Revoke the newest open commit (undo is LIFO by contract).
+        // Revoke the newest open commit (frames are LIFO by contract).
         Placed job = std::move(live.back());
         live.pop_back();
         free.rollback(std::move(job.token));
@@ -412,193 +410,6 @@ TEST(PropWideProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
       free.rollback(std::move(job.token));
     }
     ASSERT_EQ(free.profile(), capacity);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Undo log: recorded add -> rollback differential fuzz vs a never-touched
-// twin (segments AND observable query answers must come back bit-identical).
-// ---------------------------------------------------------------------------
-
-TEST(PropWideProfile, RecordedAddRollbackMatchesNeverTouchedTwin) {
-  constexpr Time kHorizon = 4096;
-  Prng prng(20260727);
-  for (int round = 0; round < 6; ++round) {
-    const std::int64_t initial = prng.uniform_int(4, 12);
-    StepProfile subject(initial);
-    StepProfile twin(initial);
-    DenseModel model(kHorizon, initial);
-    // Fragment both identically; the twin never sees a recorded add.
-    for (int i = 0; i < 500; ++i) {
-      const Time a = prng.uniform_int(0, kHorizon - 2);
-      const Time b = a + prng.uniform_int(1, 24);
-      const std::int64_t delta = prng.uniform_int(-2, 3);
-      subject.add(a, b, delta);
-      twin.add(a, b, delta);
-      model.add(a, b, delta);
-    }
-    ASSERT_GT(subject.segment_count(), 256u);
-    // Wide query on both before the probe episodes begin.
-    ASSERT_EQ(subject.min_in(0, kTimeInfinity), twin.min_in(0, kTimeInfinity));
-
-    const auto expect_observably_identical = [&](int episode) {
-      ASSERT_EQ(subject, twin) << "segments diverged, episode " << episode;
-      for (int query = 0; query < 6; ++query) {
-        const Time f = prng.uniform_int(0, kHorizon / 2);
-        const Time t = prng.chance(0.25)
-                           ? kTimeInfinity
-                           : prng.uniform_int(3 * kHorizon / 4, kHorizon + 64);
-        ASSERT_EQ(subject.min_in(f, t), twin.min_in(f, t));
-        ASSERT_EQ(subject.max_in(f, t), twin.max_in(f, t));
-        const std::int64_t threshold = prng.uniform_int(-2, 14);
-        ASSERT_EQ(subject.first_below(f, t, threshold),
-                  twin.first_below(f, t, threshold));
-        ASSERT_EQ(subject.first_at_least(f, threshold),
-                  twin.first_at_least(f, threshold));
-        if (t < kTimeInfinity) {
-          ASSERT_EQ(subject.integral(f, t), twin.integral(f, t));
-        }
-        const std::int64_t target = prng.uniform_int(0, 4000);
-        ASSERT_EQ(subject.time_to_accumulate(f, target),
-                  twin.time_to_accumulate(f, target));
-      }
-    };
-
-    for (int episode = 0; episode < 60; ++episode) {
-      // Stack up to 4 recorded adds (nested, the backtracking shape),
-      // querying the subject against the dense model while they are live,
-      // then unwind newest-first.
-      struct Recorded {
-        Time a;
-        Time b;
-        std::int64_t delta;
-        StepProfile::Undo undo;
-      };
-      std::vector<Recorded> stack;
-      const int depth = static_cast<int>(prng.uniform_int(1, 4));
-      for (int level = 0; level < depth; ++level) {
-        Recorded rec;
-        rec.a = prng.uniform_int(0, kHorizon - 2);
-        // Occasionally an unbounded window: the kTimeInfinity clamp of the
-        // right edge must survive recording and rollback.
-        rec.b = prng.chance(0.15) ? kTimeInfinity
-                                  : rec.a + prng.uniform_int(1, 64);
-        rec.delta = prng.uniform_int(-3, 3);
-        subject.add_recorded(rec.a, rec.b, rec.delta, rec.undo);
-        model.add(rec.a, rec.b, rec.delta);
-        ASSERT_EQ(rec.undo.live(), rec.delta != 0);
-        stack.push_back(std::move(rec));
-
-        // Wide query while tentative state is live.
-        const Time f = prng.uniform_int(0, kHorizon / 2);
-        const Time t = prng.uniform_int(3 * kHorizon / 4, kHorizon + 64);
-        ASSERT_EQ(subject.min_in(f, t), model.min_in(f, t))
-            << "round " << round << " episode " << episode;
-        const std::int64_t threshold = prng.uniform_int(-2, 14);
-        ASSERT_EQ(subject.first_below(f, t, threshold),
-                  model.first_below(f, t, threshold));
-      }
-      while (!stack.empty()) {
-        Recorded rec = std::move(stack.back());
-        stack.pop_back();
-        if (rec.undo.live()) subject.rollback(rec.undo);
-        model.add(rec.a, rec.b, -rec.delta);
-        ASSERT_FALSE(rec.undo.live());
-      }
-      ASSERT_NO_FATAL_FAILURE(ExpectCanonical(subject));
-      if (episode % 10 == 0) {
-        ASSERT_NO_FATAL_FAILURE(expect_observably_identical(episode));
-      }
-    }
-    ASSERT_NO_FATAL_FAILURE(expect_observably_identical(-1));
-  }
-}
-
-TEST(PropWideProfile, RollbackOutOfOrderTripsOnOverlapOnly) {
-  StepProfile profile(10);
-  for (Time t = 0; t < 2000; t += 10) profile.add(t, t + 5, (t / 10) % 4);
-
-  // Non-overlapping recorded adds may unwind in any order.
-  const StepProfile base = profile;
-  StepProfile::Undo left;
-  StepProfile::Undo right;
-  profile.add_recorded(100, 200, -3, left);
-  profile.add_recorded(1000, 1100, -2, right);
-  profile.rollback(left);
-  profile.rollback(right);
-  EXPECT_EQ(profile, base);
-
-  // Overlapping ones must unwind newest-first; reversing the older one
-  // while the newer is live would corrupt the function, so it trips.
-  StepProfile::Undo older;
-  StepProfile::Undo newer;
-  profile.add_recorded(100, 300, -1, older);
-  profile.add_recorded(250, 400, -1, newer);
-  EXPECT_THROW(profile.rollback(older), std::logic_error);
-  // A failed rollback consumes nothing and mutates nothing: unwind the
-  // blocking mutation and the older record works again.
-  EXPECT_TRUE(older.live());
-  profile.rollback(newer);
-  profile.rollback(older);
-  EXPECT_EQ(profile, base);
-
-  // A dead record cannot roll back.
-  EXPECT_THROW(profile.rollback(newer), std::logic_error);
-}
-
-TEST(PropWideProfile, RollbackTripsOnBoundaryInterferenceInsteadOfCorrupting) {
-  // The checked state of a record is slightly wider than its mutation
-  // window: the closed region [window_lo, to] plus the left neighbour's
-  // value. Window-disjoint later mutations that touch only those
-  // boundaries must trip the rollback loudly -- the alternative is a
-  // silently non-canonical (or wrong) splice.
-
-  {
-    // A later add whose right edge coalesces across the record's
-    // window_lo boundary: without the recorded-left-value anchor the
-    // replay would accept and splice back an adjacent-equal pair.
-    StepProfile profile(5);
-    profile.add(50, kTimeInfinity, 4);   // {0:5},{50:9}
-    profile.add(100, kTimeInfinity, -2); // {0:5},{50:9},{100:7}
-    StepProfile::Undo undo;
-    profile.add_recorded(150, 200, -2, undo);  // window_lo = 100
-    profile.add(50, 100, -2);  // {50:7} now coalesces with {100:7}
-    EXPECT_THROW(profile.rollback(undo), std::logic_error);
-    EXPECT_TRUE(undo.live());
-    // Unwind the interference and the record works again, canonically.
-    profile.add(50, 100, 2);
-    profile.rollback(undo);
-    EXPECT_EQ(profile.value_at(160), 7);
-    EXPECT_EQ(profile.segment_count(), 3u);
-  }
-
-  {
-    // A later add starting exactly at the record's `to`: it shifts the
-    // region's trailing piece, so the record is blocked until it unwinds.
-    StepProfile profile(9);
-    StepProfile::Undo undo;
-    profile.add_recorded(150, 200, -2, undo);
-    profile.add(200, 300, -1);
-    EXPECT_THROW(profile.rollback(undo), std::logic_error);
-    EXPECT_TRUE(undo.live());
-    profile.add(200, 300, 1);
-    profile.rollback(undo);
-    EXPECT_EQ(profile, StepProfile(9));
-  }
-
-  {
-    // A later add ending at the record's window_lo that changes the left
-    // neighbour to the region's original leading value: splicing would
-    // recreate an adjacent-equal pair, so it must trip.
-    StepProfile profile(5);
-    profile.add(100, kTimeInfinity, -2);  // {0:5},{100:3}
-    StepProfile::Undo undo;
-    profile.add_recorded(100, 200, -1, undo);  // {0:5},{100:2},{200:3}
-    profile.add(0, 100, -2);                   // left neighbour 5 -> 3
-    EXPECT_THROW(profile.rollback(undo), std::logic_error);
-    profile.add(0, 100, 2);
-    profile.rollback(undo);
-    EXPECT_EQ(profile.value_at(150), 3);
   }
 }
 

@@ -1,8 +1,8 @@
 // SegStore, the two-ended SoA/SBO segment store under StepProfile.
 //
 // A differential fuzz runs random edit sequences against a plain
-// std::vector model -- inserts, erases and splices that grow or shrink at
-// either end, push_back, assign_range, clear, reserve, and copies/moves of
+// std::vector model -- inserts, erases and erase-then-insert splices that
+// grow or shrink at either end, push_back, assign_range, clear, reserve, and copies/moves of
 // stores whose live slots do not start at the block's first slot -- on
 // inline stores, heap stores and across the inline -> heap spill. The pins
 // below it fix the store's two contracts (a store of at most
@@ -107,15 +107,16 @@ void random_edit(Prng& prng, SegStore& store, Model& model,
       return;
     }
     case 5:
-    case 6: {  // replace_range, growing or shrinking; inline or heap source
+    case 6: {  // splice [lo, hi) -> k slots, growing or shrinking
       const std::size_t lo = biased_pos(prng, n);
       const std::size_t hi = lo + pick(prng, std::min<std::size_t>(n - lo, 12));
       std::size_t k = pick(prng, prng.uniform_int(0, 3) == 0 ? 30 : 6);
       if (n - (hi - lo) + k > limit) k = hi - lo;
       Model patch;
       for (std::size_t i = 0; i < k; ++i) patch.push_back(random_slot(prng));
-      const SegStore src = store_of(patch);
-      store.replace_range(lo, hi, src);
+      store.erase(lo, hi);
+      for (std::size_t i = 0; i < k; ++i)
+        store.insert(lo + i, patch[i].first, patch[i].second);
       model.erase(model.begin() + static_cast<std::ptrdiff_t>(lo),
                   model.begin() + static_cast<std::ptrdiff_t>(hi));
       model.insert(model.begin() + static_cast<std::ptrdiff_t>(lo),
@@ -183,7 +184,7 @@ void run_fuzz(std::uint64_t seed, std::size_t limit, int steps) {
         << "seed " << seed << " step " << step;
     if (step % 64 == 0) {
       EXPECT_TRUE(store == store_of(model));
-      // Sorted contents: the binary searches agree with the model's.
+      // Sorted contents: the binary search agrees with the model's.
       Model sorted = model;
       std::sort(sorted.begin(), sorted.end());
       // Built by front inserts, so its live slots sit off the block start.
@@ -191,12 +192,7 @@ void run_fuzz(std::uint64_t seed, std::size_t limit, int steps) {
       for (auto it = sorted.rbegin(); it != sorted.rend(); ++it)
         ordered.insert(0, it->first, it->second);
       const Time probe = prng.uniform_int(0, 1'000'000);
-      const auto key = [](const auto& slot, Time t) { return slot.first < t; };
       const auto rkey = [](Time t, const auto& slot) { return t < slot.first; };
-      EXPECT_EQ(ordered.lower_bound_start(probe),
-                static_cast<std::size_t>(
-                    std::lower_bound(sorted.begin(), sorted.end(), probe, key) -
-                    sorted.begin()));
       EXPECT_EQ(ordered.upper_bound_start(probe),
                 static_cast<std::size_t>(
                     std::upper_bound(sorted.begin(), sorted.end(), probe, rkey) -
@@ -276,7 +272,7 @@ TEST(SegStore, StoresWithinInlineCapacityNeverAllocate) {
     ASSERT_EQ(store.alloc_count(), 0u) << "step " << step;
   }
   // The process-wide counter (which also sees the model's vectors above)
-  // stays flat over a front-heavy edit loop and over a splice whose
+  // stays flat over a front-heavy edit loop and over two inserts whose
   // growth fits neither side's free slots alone.
   const std::uint64_t before = alloc_count();
   SegStore front_heavy;
@@ -289,10 +285,8 @@ TEST(SegStore, StoresWithinInlineCapacityNeverAllocate) {
   for (Time t = 0; t < 6; ++t) six.push_back(t, t);
   SegStore centred;
   centred.assign_range(six, 0, 6);  // one free slot on each side
-  SegStore two;
-  two.push_back(100, 100);
-  two.push_back(101, 101);
-  centred.replace_range(3, 3, two);
+  centred.insert(3, 100, 100);
+  centred.insert(4, 101, 101);
   EXPECT_EQ(alloc_count(), before);
   EXPECT_EQ(front_heavy.alloc_count(), 0u);
   EXPECT_EQ(centred.alloc_count(), 0u);

@@ -40,7 +40,7 @@ TEST(ServiceSim, StepIsDeterministicForFixedSeed) {
 
 TEST(ServiceSim, SteadyStateDecisionsAreNearlyAllocationFree) {
   // The memory-subsystem claim: a steady-state incremental decision runs
-  // entirely on the decision arena, the frame pool and capacity-reusing
+  // entirely on the decision arena, the frame stack and capacity-reusing
   // member buffers. decision_allocs counts every heap event inside the
   // timed measure-window decisions (operator-new hook + instrumented
   // malloc sites); the residue is rare amortized capacity growth, far

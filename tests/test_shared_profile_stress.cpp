@@ -1,10 +1,11 @@
 // Shared-const-read stress: concurrent const reads of one StepProfile.
 //
 // Many threads hammer ONE const StepProfile (and one const Instance through
-// the whole scheduler stack) on thousands of segments. CampaignRunner's
-// share_instances mode relies on const reads being safe to share: a const
-// StepProfile query reads the segment arrays and nothing else, with no
-// lazily built state behind it. These tests are the ThreadSanitizer
+// the whole scheduler stack) on thousands of segments. CampaignRunner
+// relies on const reads being safe to share (every scheduler task of an
+// instance reads the one generated copy): a const StepProfile query reads
+// the segment arrays and nothing else, with no lazily built state behind
+// it. These tests are the ThreadSanitizer
 // targets of the CI tsan job: correctness is asserted here (every thread
 // must see the single-threaded reference answers), and TSan asserts the
 // absence of data races in the same run -- a cache added to a const path
@@ -144,7 +145,7 @@ TEST(SharedProfileStress, MutationAfterSharedReadsStaysCoherent) {
 }
 
 TEST(SharedInstanceStress, ConcurrentSchedulersAgreeOnOneSharedInstance) {
-  // The campaign share_instances mode in miniature: one generated instance,
+  // The campaign fan-out in miniature: one generated instance,
   // every scheduler task reading it concurrently, results identical to the
   // single-threaded reference run.
   WorkloadConfig config;
